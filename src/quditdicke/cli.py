@@ -17,20 +17,12 @@ import sys
 from fractions import Fraction
 
 from .levelsets import build_level_sets
-from .qpe import (
-    build_fanout_const_spin_s,
-    build_fanout_const_sud,
-    build_hadamard_test_spin_s,
-    build_hadamard_test_sud,
-    build_qpe_log_spin_s,
-    build_qpe_log_sud,
-    run_postselected,
-)
+from .qpe import BUILDERS, run_postselected
 from .reference import DickeSpecSpinS, DickeSpecSUD, spin_s_dicke, sud_dicke
 from .report import count_resources
 from .sequential import build_sequential_spin_s, build_sequential_sud, verify_sequential
 from .serialize import circuit_to_json
-from .sim import FIDELITY_ACCEPT, outcome_distribution
+from .sim import ANCILLA_ACCEPT, FIDELITY_ACCEPT, acceptance_probability
 from .suites import DEFAULT_MAX_AMPLITUDES, run_all
 
 
@@ -42,18 +34,11 @@ def _parse_spin(text: str) -> int:
     return int(twice)
 
 
-def _parse_kvec(text: str) -> tuple[int, ...]:
+def _parse_vector(text: str, cast, what: str) -> tuple:
     try:
-        return tuple(int(piece) for piece in text.split(","))
+        return tuple(cast(piece) for piece in text.split(","))
     except ValueError:
-        raise ValueError(f"could not parse occupation vector {text!r}") from None
-
-
-def _parse_xi(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(piece) for piece in text.split(","))
-    except ValueError:
-        raise ValueError(f"could not parse xi vector {text!r}") from None
+        raise ValueError(f"could not parse {what} {text!r}") from None
 
 
 def _default_seed(args) -> int | None:
@@ -70,19 +55,11 @@ def _spec_from_args(args):
         return DickeSpecSpinS(args.n, _parse_spin(args.s), args.k)
     if args.kvec is None:
         raise ValueError("family sud needs --kvec")
-    return DickeSpecSUD(args.n, _parse_kvec(args.kvec))
+    return DickeSpecSUD(args.n, _parse_vector(args.kvec, int, "occupation vector"))
 
 
-_SPIN_BUILDERS = {
-    "qpe-log": build_qpe_log_spin_s,
-    "hadamard": build_hadamard_test_spin_s,
-    "fanout": build_fanout_const_spin_s,
-}
-_SUD_BUILDERS = {
-    "qpe-log": build_qpe_log_sud,
-    "hadamard": build_hadamard_test_sud,
-    "fanout": build_fanout_const_sud,
-}
+_SPIN_BUILDERS = BUILDERS["spin-s"]
+_SUD_BUILDERS = BUILDERS["sud"]
 
 
 def _build_circuit(spec, method: str, p: float | None, xi):
@@ -93,6 +70,12 @@ def _build_circuit(spec, method: str, p: float | None, xi):
     if method == "sequential":
         return build_sequential_sud(spec)
     return _SUD_BUILDERS[method](spec, xi=xi)
+
+
+def _spec_and_circuit(args):
+    spec = _spec_from_args(args)
+    xi = _parse_vector(args.xi, float, "xi vector") if args.xi else None
+    return spec, _build_circuit(spec, args.method, args.p, xi)
 
 
 def _oracle(spec):
@@ -165,9 +148,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_prepare(args) -> int:
-    spec = _spec_from_args(args)
-    xi = _parse_xi(args.xi) if getattr(args, "xi", None) else None
-    circuit = _build_circuit(spec, args.method, getattr(args, "p", None), xi)
+    spec, circuit = _spec_and_circuit(args)
     _cap_check(circuit, args.max_amplitudes)
     oracle = _oracle(spec)
     seed = _default_seed(args)
@@ -180,7 +161,7 @@ def _cmd_prepare(args) -> int:
     _emit(text, args.out)
     ok = report.conditional_fidelity >= FIDELITY_ACCEPT
     if args.method == "sequential":
-        ok = ok and report.acceptance_probability >= 1.0 - 1e-10
+        ok = ok and report.acceptance_probability >= ANCILLA_ACCEPT
     return 0 if ok else 1
 
 
@@ -195,61 +176,42 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _sweep_row(circuit) -> tuple[float, int, int]:
-    state = circuit.run()
-    wires, digits = circuit.accept_rule
-    dist = outcome_distribution(state, wires)
-    index = 0
-    stride = 1
-    for w, v in zip(wires, digits):
-        index += v * stride
-        stride *= circuit.register.dim(w)
-    gate_count, depth, _ = count_resources(circuit)
-    return float(dist[index]), gate_count, depth
-
-
 def _cmd_sweep(args) -> int:
     if args.family != "spin-s":
         raise ValueError("sweep supports the spin-s family (the sud occupation vector pins n)")
-    lines = ["param,value,acceptance_probability,expected_repetitions,gate_count,logical_depth"]
     if args.param == "p":
         if args.method == "sequential":
             raise ValueError("--param p applies to the probabilistic methods")
         spec = _spec_from_args(args)
-        for i in range(args.points):
-            p = i / (args.points - 1) if args.points > 1 else 0.0
-            circuit = _build_circuit(spec, args.method, p, None)
-            _cap_check(circuit, args.max_amplitudes)
-            probability, gates, depth = _sweep_row(circuit)
-            reps = repr(1.0 / probability) if probability > 0 else "inf"
-            lines.append(f"p,{p!r},{probability!r},{reps},{gates},{depth}")
+        points = (i / (args.points - 1) if args.points > 1 else 0.0 for i in range(args.points))
+        grid = ((p, spec, p) for p in points)
     else:
         if args.n_max is None or args.n_max < args.n:
             raise ValueError("--param n needs --n-max >= --n")
         twice_s = _parse_spin(args.s) if args.s else None
         if twice_s is None or args.k is None:
             raise ValueError("--param n needs --s and --k")
-        for n in range(args.n, args.n_max + 1):
-            spec = DickeSpecSpinS(n, twice_s, args.k)
-            circuit = _build_circuit(spec, args.method, None, None)
-            _cap_check(circuit, args.max_amplitudes)
-            probability, gates, depth = _sweep_row(circuit)
-            reps = repr(1.0 / probability) if probability > 0 else "inf"
-            lines.append(f"n,{n},{probability!r},{reps},{gates},{depth}")
+        grid = ((n, DickeSpecSpinS(n, twice_s, args.k), None) for n in range(args.n, args.n_max + 1))
+    lines = ["param,value,acceptance_probability,expected_repetitions,gate_count,logical_depth"]
+    for value, spec, p in grid:
+        circuit = _build_circuit(spec, args.method, p, None)
+        _cap_check(circuit, args.max_amplitudes)
+        probability = acceptance_probability(circuit.run(), circuit.accept_rule)
+        gates, depth, _ = count_resources(circuit)
+        reps = repr(1.0 / probability) if probability > 0 else "inf"
+        lines.append(f"{args.param},{value!r},{probability!r},{reps},{gates},{depth}")
     _emit("\n".join(lines), args.out)
     return 0
 
 
 def _cmd_levelsets(args) -> int:
-    index = build_level_sets(_parse_kvec(args.kvec))
+    index = build_level_sets(_parse_vector(args.kvec, int, "occupation vector"))
     _emit(json.dumps(index.to_dict(), indent=2), args.out)
     return 0
 
 
 def _cmd_export(args) -> int:
-    spec = _spec_from_args(args)
-    xi = _parse_xi(args.xi) if getattr(args, "xi", None) else None
-    circuit = _build_circuit(spec, args.method, getattr(args, "p", None), xi)
+    _, circuit = _spec_and_circuit(args)
     _emit(circuit_to_json(circuit), args.out)
     return 0
 

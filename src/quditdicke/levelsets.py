@@ -27,6 +27,11 @@ def _bounded_compositions(bounds: tuple[int, ...], total: int) -> Iterator[tuple
             yield (value,) + rest
 
 
+def compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """All length-d vectors of nonnegative integers summing to n, largest first entry first."""
+    return _bounded_compositions((n,) * d, n)
+
+
 class LevelSetIndex:
     """All level families of one occupation vector, labeled and invertible."""
 

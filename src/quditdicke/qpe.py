@@ -1,37 +1,38 @@
 """Probabilistic preparation circuits with exact postselection.
 
-All six builders share the same shape: prepare a boosted product state,
-read its conserved charge(s) into ancillas, and accept the runs whose
-ancillas show the target value.  Readout comes in three flavors per
-family: a bank of qubits with an inverse Fourier block (log depth), a
-single higher-dimensional Hadamard test per charge, and a fan-out
-interference filter whose depth does not grow with the register.
+Every scheme prepares a boosted product state, reads its conserved
+charges into ancillas, and accepts the runs whose ancillas show the
+targets.  A spin-s target reads one charge, q(m) = m, with target k; a
+multilevel target reads the d-1 occupation charges q_i(m) = [m == i],
+with targets k_i.  Both are a ``ChargeReadout``, and each scheme is
+written once against it: a bank of qubits with an inverse Fourier block
+per charge (log depth), one higher-dimensional Hadamard test per charge,
+and a fan-out interference filter whose depth does not grow with the
+register.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from .reference import DickeSpecSpinS, DickeSpecSUD, binomial
-from .report import RunReport, count_resources, embedded_reference, spec_fields
+from .report import RunReport, verify_circuit
 from .sequential import rotation_cascade_angles
 from .sim import (
     Circuit,
     GateOp,
-    ImpossibleOutcomeError,
     QuditRegister,
     StateVector,
     dense_unitary,
-    fidelity,
     hd,
     hd_dag,
     outcome_distribution,
+    outcome_index,
     phase_k,
-    project_on_outcome,
     rot,
     sum_,
     sum_dag,
@@ -43,16 +44,10 @@ def ancilla_bits_spin_s(spec: DickeSpecSpinS) -> int:
     return spec.max_charge.bit_length()
 
 
-def ancilla_bits_sud(spec: DickeSpecSUD) -> int:
-    """Qubits per level bank: ceil(log2(n+1))."""
-    return spec.n.bit_length()
-
-
 def _site_amplitudes_spin_s(twice_s: int, p: float) -> np.ndarray:
-    amps = np.array(
-        [math.sqrt(binomial(twice_s, m) * p**m * (1.0 - p) ** (twice_s - m)) for m in range(twice_s + 1)]
-    )
-    return amps
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p} outside [0, 1]")
+    return np.array([math.sqrt(binomial(twice_s, m) * p**m * (1.0 - p) ** (twice_s - m)) for m in range(twice_s + 1)])
 
 
 def _site_amplitudes_sud(xi) -> np.ndarray:
@@ -67,13 +62,20 @@ def _site_amplitudes_sud(xi) -> np.ndarray:
     return xi / norm
 
 
+def _system_wires(n: int) -> list[str]:
+    return [f"s{j}" for j in range(1, n + 1)]
+
+
 def _prep_ops(site_amps: np.ndarray, wires) -> list[GateOp]:
     angles = rotation_cascade_angles(site_amps)
     return [rot(w, m, theta) for w in wires for m, theta in enumerate(angles)]
 
 
-def _tensor_power(site_amps: np.ndarray, n: int) -> np.ndarray:
-    return functools.reduce(lambda acc, _: np.kron(site_amps, acc), range(n), np.ones(1))
+def _product_state(n: int, site_amps: np.ndarray) -> tuple[StateVector, list[GateOp]]:
+    wires = _system_wires(n)
+    amps = functools.reduce(lambda acc, _: np.kron(site_amps, acc), range(n), np.ones(1))
+    register = QuditRegister((w, site_amps.size) for w in wires)
+    return StateVector(register, amps.astype(np.complex128)), _prep_ops(site_amps, wires)
 
 
 def product_state_spin_s(n: int, twice_s: int, p: float) -> tuple[StateVector, list[GateOp]]:
@@ -83,21 +85,63 @@ def product_state_spin_s(n: int, twice_s: int, p: float) -> tuple[StateVector, l
     n-fold product decomposes over the charge sectors with binomial
     weights in p.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    site = _site_amplitudes_spin_s(twice_s, p)
-    register = QuditRegister((f"s{j}", twice_s + 1) for j in range(1, n + 1))
-    state = StateVector(register, _tensor_power(site, n).astype(np.complex128))
-    return state, _prep_ops(site, [f"s{j}" for j in range(1, n + 1)])
+    return _product_state(n, _site_amplitudes_spin_s(twice_s, p))
 
 
 def product_state_sud(n: int, xi) -> tuple[StateVector, list[GateOp]]:
     """Normalized weighted product state over d levels, tensored n times."""
-    site = _site_amplitudes_sud(xi)
-    d = site.size
-    register = QuditRegister((f"s{j}", d) for j in range(1, n + 1))
-    state = StateVector(register, _tensor_power(site, n).astype(np.complex128))
-    return state, _prep_ops(site, [f"s{j}" for j in range(1, n + 1)])
+    return _product_state(n, _site_amplitudes_sud(xi))
+
+
+@dataclass(frozen=True)
+class ChargeReadout:
+    """What a probabilistic scheme reads off the boosted product state.
+
+    ``charges`` holds one (label, level, target) triple per conserved
+    charge: ``label`` names that charge's ancillas, and the charge of a
+    site digit m is m itself when ``level`` is None, else [m == level].
+    ``max_charge`` is the largest value any charge reaches (2sn or n);
+    ``meta`` carries the family fields of the circuit's report.
+    """
+
+    site_amps: np.ndarray
+    charges: tuple
+    max_charge: int
+    meta: dict
+
+    @property
+    def system(self) -> list[str]:
+        return _system_wires(self.meta["n"])
+
+
+def _spin_s_readout(spec: DickeSpecSpinS, p: float | None) -> ChargeReadout:
+    if p is None:
+        p = spec.k / spec.max_charge
+    meta = {"family": "spin-s", "n": spec.n, "twice_s": spec.twice_s, "k": spec.k, "optimal_parameter": p}
+    return ChargeReadout(_site_amplitudes_spin_s(spec.twice_s, p), (("", None, spec.k),), spec.max_charge, meta)
+
+
+def _sud_readout(spec: DickeSpecSUD, xi) -> ChargeReadout:
+    if xi is None:
+        xi = tuple(math.sqrt(v / spec.n) for v in spec.kvec)
+    xi = tuple(float(v) for v in xi)
+    if len(xi) != spec.d:
+        raise ValueError(f"xi needs {spec.d} components")
+    charges = tuple((str(i), i, spec.kvec[i]) for i in range(1, spec.d))
+    meta = {"family": "sud", "n": spec.n, "kvec": spec.kvec, "optimal_parameter": list(xi)}
+    return ChargeReadout(_site_amplitudes_sud(xi), charges, spec.n, meta)
+
+
+def _wire(prefix: str, label: str, index="") -> str:
+    """Ancilla name: the spin-s family's empty label gives q0, h, f1; level 2 gives q2_0, h2, f2_1."""
+    return prefix + "_".join(str(part) for part in (label, index) if part != "")
+
+
+def _circuit(readout: ChargeReadout, method: str, ancillas, ops, accept_rule, notes=()) -> Circuit:
+    system = readout.system
+    wires = [(w, readout.site_amps.size) for w in system] + list(ancillas)
+    meta = {**readout.meta, "method": method, "system_wires": tuple(system), "notes": list(notes)}
+    return Circuit(QuditRegister(wires), _prep_ops(readout.site_amps, system) + ops, accept_rule, meta)
 
 
 def _inverse_fourier(size: int) -> np.ndarray:
@@ -105,242 +149,102 @@ def _inverse_fourier(size: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(a, a) / size) / math.sqrt(size)
 
 
-def _bits(value: int, width: int) -> tuple[int, ...]:
-    return tuple((value >> x) & 1 for x in range(width))
-
-
-def _spin_s_meta(spec: DickeSpecSpinS, method: str, p: float, notes=()) -> dict:
-    return {
-        "family": "spin-s",
-        "method": method,
-        "n": spec.n,
-        "twice_s": spec.twice_s,
-        "k": spec.k,
-        "system_wires": tuple(f"s{j}" for j in range(1, spec.n + 1)),
-        "optimal_parameter": p,
-        "notes": list(notes),
-    }
-
-
-def _sud_meta(spec: DickeSpecSUD, method: str, xi, notes=()) -> dict:
-    return {
-        "family": "sud",
-        "method": method,
-        "n": spec.n,
-        "kvec": spec.kvec,
-        "system_wires": tuple(f"s{j}" for j in range(1, spec.n + 1)),
-        "optimal_parameter": [float(v) for v in xi],
-        "notes": list(notes),
-    }
-
-
-def build_qpe_log_spin_s(spec: DickeSpecSpinS, p: float | None = None) -> Circuit:
-    """Charge readout into a qubit bank via controlled charge phases and an
-    inverse Fourier block; accepts when the bank shows k in binary
-    (bit x of k on ancilla x)."""
-    if p is None:
-        p = spec.k / spec.max_charge
-    n, dim = spec.n, spec.dim
-    ell = ancilla_bits_spin_s(spec)
+def _build_qpe_log(readout: ChargeReadout) -> Circuit:
+    """One qubit bank per charge, written through controlled charge phases and
+    read by an inverse Fourier block; accepts when bank x shows the target in
+    binary (bit x on qubit x)."""
+    ell = readout.max_charge.bit_length()
     size = 2**ell
-    qubits = [f"q{x}" for x in range(ell)]
-    wires = [(f"s{j}", dim) for j in range(1, n + 1)] + [(q, 2) for q in qubits]
-    _, prep = product_state_spin_s(n, spec.twice_s, p)
-    ops = list(prep)
-    ops += [hd(q) for q in qubits]
-    for x in range(ell):
-        for j in range(1, n + 1):
-            ops.append(phase_k(f"s{j}", num=2**x, den=size, controls=((qubits[x], 1),)))
-    ops.append(dense_unitary(tuple(qubits), _inverse_fourier(size)))
-    return Circuit(
-        QuditRegister(wires),
-        ops,
-        accept_rule=(tuple(qubits), _bits(spec.k, ell)),
-        meta=_spin_s_meta(spec, "qpe-log", p),
-    )
+    banks = [[_wire("q", label, x) for x in range(ell)] for label, _, _ in readout.charges]
+    ops = [hd(q) for bank in banks for q in bank]
+    for bank, (_, level, _) in zip(banks, readout.charges):
+        for x in range(ell):
+            ops += [phase_k(w, num=2**x, den=size, level=level, controls=((bank[x], 1),)) for w in readout.system]
+    ops += [dense_unitary(tuple(bank), _inverse_fourier(size)) for bank in banks]
+    qubits = tuple(q for bank in banks for q in bank)
+    digits = tuple((target >> x) & 1 for _, _, target in readout.charges for x in range(ell))
+    return _circuit(readout, "qpe-log", [(q, 2) for q in qubits], ops, (qubits, digits))
 
 
-def build_hadamard_test_spin_s(spec: DickeSpecSpinS, p: float | None = None) -> Circuit:
-    """One charge-dimensional ancilla reads the total charge through a
-    Fourier-conjugated product of charge phases; accepts on reading k."""
-    if p is None:
-        p = spec.k / spec.max_charge
-    n, dim = spec.n, spec.dim
-    modulus = spec.max_charge + 1
-    wires = [(f"s{j}", dim) for j in range(1, n + 1)] + [("h", modulus)]
-    _, prep = product_state_spin_s(n, spec.twice_s, p)
-    ops = list(prep)
-    ops.append(hd("h"))
-    for j in range(1, n + 1):
-        ops.append(phase_k(("h", f"s{j}"), num=1, den=modulus))
-    ops.append(hd_dag("h"))
+def _build_hadamard(readout: ChargeReadout, budget: int) -> Circuit:
+    """One (max charge + 1)-dimensional ancilla per charge reads it through a
+    Fourier-conjugated product of charge phases; accepts when each ancilla
+    reads its target.  ``budget`` is the ancilla count of the constant-depth
+    feedforward realization, noted in the report."""
+    modulus = readout.max_charge + 1
+    ancillas = [_wire("h", label) for label, _, _ in readout.charges]
+    ops = []
+    for anc, (_, level, _) in zip(ancillas, readout.charges):
+        ops.append(hd(anc))
+        ops += [phase_k((anc, w), num=1, den=modulus, level=level) for w in readout.system]
+        ops.append(hd_dag(anc))
     notes = [
-        f"constant-depth feedforward realization budget: about {n} ancillas of dimension {modulus}; this direct simulation uses 1"
+        f"constant-depth feedforward realization budget: about {budget} ancillas of dimension {modulus}; "
+        f"this direct simulation uses {len(ancillas)}"
     ]
-    return Circuit(
-        QuditRegister(wires),
-        ops,
-        accept_rule=(("h",), (spec.k,)),
-        meta=_spin_s_meta(spec, "hadamard", p, notes),
-    )
+    accept_rule = (tuple(ancillas), tuple(target for _, _, target in readout.charges))
+    return _circuit(readout, "hadamard", [(h, modulus) for h in ancillas], ops, accept_rule, notes)
 
 
-def build_fanout_const_spin_s(spec: DickeSpecSpinS, p: float | None = None) -> Circuit:
-    """Fan the register out to ell basis copies and accept when ell flag
-    qubits survive an interference test on the shifted charge.
+def _build_fanout(readout: ChargeReadout) -> Circuit:
+    """Fan the register out to one basis copy per (charge, bit) pair, the
+    system itself being the first, and accept when every flag qubit survives
+    an interference test on its shifted charge.
 
     Counting each fan-out and each controlled charge phase as one layer,
     the depth does not grow with n.
     """
-    if p is None:
-        p = spec.k / spec.max_charge
-    n, dim, k = spec.n, spec.dim, spec.k
-    ell = ancilla_bits_spin_s(spec)
-    system = [f"s{j}" for j in range(1, n + 1)]
-    blocks = [system] + [[f"c{b}_{j}" for j in range(1, n + 1)] for b in range(2, ell + 1)]
-    flags = [f"f{x}" for x in range(1, ell + 1)]
-    wires = [(w, dim) for w in system]
-    for block in blocks[1:]:
-        wires += [(w, dim) for w in block]
-    wires += [(f, 2) for f in flags]
-    _, prep = product_state_spin_s(n, spec.twice_s, p)
-    ops = list(prep)
-    for block in blocks[1:]:
-        for copy, src in zip(block, system):
-            ops.append(sum_(copy, src, layer_tag="F"))
+    ell = readout.max_charge.bit_length()
+    system = readout.system
+    copies = [[f"c{b}_{j}" for j in range(1, len(system) + 1)] for b in range(2, len(readout.charges) * ell + 1)]
+    blocks = [system] + copies
+    flags = [_wire("f", label, x) for label, _, _ in readout.charges for x in range(1, ell + 1)]
+    ops = [sum_(copy, src, layer_tag="F") for block in copies for copy, src in zip(block, system)]
     ops += [hd(f) for f in flags]
-    for x in range(1, ell + 1):
-        flag = flags[x - 1]
-        for idx, w in enumerate(blocks[x - 1]):
-            ops.append(
-                phase_k(w, num=1, den=2**x, offset=k if idx == 0 else 0, controls=((flag, 1),), layer_tag=f"U{x}")
-            )
-    for block in blocks[1:]:
-        for copy, src in zip(block, system):
-            ops.append(sum_dag(copy, src, layer_tag="Fdag"))
+    for c, (label, level, target) in enumerate(readout.charges):
+        for x in range(1, ell + 1):
+            controls = ((_wire("f", label, x), 1),)
+            tag = _wire("U", label, x)
+            for idx, w in enumerate(blocks[c * ell + x - 1]):
+                offset = target if idx == 0 else 0
+                ops.append(phase_k(w, num=1, den=2**x, offset=offset, level=level, controls=controls, layer_tag=tag))
+    ops += [sum_dag(copy, src, layer_tag="Fdag") for block in copies for copy, src in zip(block, system)]
     ops += [hd(f) for f in flags]
-    return Circuit(
-        QuditRegister(wires),
-        ops,
-        accept_rule=(tuple(flags), (0,) * ell),
-        meta=_spin_s_meta(spec, "fanout", p),
-    )
+    ancillas = [(w, readout.site_amps.size) for block in copies for w in block] + [(f, 2) for f in flags]
+    return _circuit(readout, "fanout", ancillas, ops, (tuple(flags), (0,) * len(flags)))
 
 
-def _xi_or_default(spec: DickeSpecSUD, xi) -> tuple[float, ...]:
-    if xi is None:
-        return tuple(math.sqrt(v / spec.n) for v in spec.kvec)
-    xi = tuple(float(v) for v in xi)
-    if len(xi) != spec.d:
-        raise ValueError(f"xi needs {spec.d} components")
-    return xi
+# The six public builders read a spin-s target's one charge (boost p defaults
+# to k/(2sn)) or a multilevel target's d-1 occupations (xi defaults to sqrt(k_i/n)).
+def build_qpe_log_spin_s(spec: DickeSpecSpinS, p: float | None = None) -> Circuit:
+    return _build_qpe_log(_spin_s_readout(spec, p))
+
+
+def build_hadamard_test_spin_s(spec: DickeSpecSpinS, p: float | None = None) -> Circuit:
+    return _build_hadamard(_spin_s_readout(spec, p), budget=spec.n)
+
+
+def build_fanout_const_spin_s(spec: DickeSpecSpinS, p: float | None = None) -> Circuit:
+    return _build_fanout(_spin_s_readout(spec, p))
 
 
 def build_qpe_log_sud(spec: DickeSpecSUD, xi=None) -> Circuit:
-    """One qubit bank per level 1..d-1, each reading its occupation count
-    through controlled level phases and an inverse Fourier block."""
-    xi = _xi_or_default(spec, xi)
-    n, d = spec.n, spec.d
-    ell = ancilla_bits_sud(spec)
-    size = 2**ell
-    banks = [[f"q{i}_{x}" for x in range(ell)] for i in range(1, d)]
-    wires = [(f"s{j}", d) for j in range(1, n + 1)]
-    for bank in banks:
-        wires += [(q, 2) for q in bank]
-    _, prep = product_state_sud(n, xi)
-    ops = list(prep)
-    for bank in banks:
-        ops += [hd(q) for q in bank]
-    for i in range(1, d):
-        bank = banks[i - 1]
-        for x in range(ell):
-            for j in range(1, n + 1):
-                ops.append(phase_k(f"s{j}", num=2**x, den=size, level=i, controls=((bank[x], 1),)))
-    for bank in banks:
-        ops.append(dense_unitary(tuple(bank), _inverse_fourier(size)))
-    accept_wires = tuple(q for bank in banks for q in bank)
-    accept_digits = tuple(b for i in range(1, d) for b in _bits(spec.kvec[i], ell))
-    return Circuit(
-        QuditRegister(wires),
-        ops,
-        accept_rule=(accept_wires, accept_digits),
-        meta=_sud_meta(spec, "qpe-log", xi),
-    )
+    return _build_qpe_log(_sud_readout(spec, xi))
 
 
 def build_hadamard_test_sud(spec: DickeSpecSUD, xi=None) -> Circuit:
-    """One (n+1)-dimensional ancilla per level, written sequentially;
-    accepts when ancilla i reads the target occupation of level i."""
-    xi = _xi_or_default(spec, xi)
-    n, d = spec.n, spec.d
-    modulus = n + 1
-    ancillas = [f"h{i}" for i in range(1, d)]
-    wires = [(f"s{j}", d) for j in range(1, n + 1)] + [(h, modulus) for h in ancillas]
-    _, prep = product_state_sud(n, xi)
-    ops = list(prep)
-    for i in range(1, d):
-        anc = ancillas[i - 1]
-        ops.append(hd(anc))
-        for j in range(1, n + 1):
-            ops.append(phase_k((anc, f"s{j}"), num=1, den=modulus, level=i))
-        ops.append(hd_dag(anc))
-    notes = [
-        f"constant-depth feedforward realization budget: about {n + d} ancillas of dimension {modulus}; this direct simulation uses {d - 1}"
-    ]
-    return Circuit(
-        QuditRegister(wires),
-        ops,
-        accept_rule=(tuple(ancillas), tuple(spec.kvec[1:])),
-        meta=_sud_meta(spec, "hadamard", xi, notes),
-    )
+    return _build_hadamard(_sud_readout(spec, xi), budget=spec.n + spec.d)
 
 
 def build_fanout_const_sud(spec: DickeSpecSUD, xi=None) -> Circuit:
-    """(d-1)*ell basis copies, one per (level, bit) pair, filtered by
-    (d-1)*ell flag qubits; accepts when every flag returns to 0."""
-    xi = _xi_or_default(spec, xi)
-    n, d = spec.n, spec.d
-    ell = ancilla_bits_sud(spec)
-    total_blocks = (d - 1) * ell
-    system = [f"s{j}" for j in range(1, n + 1)]
-    blocks = [system] + [[f"c{b}_{j}" for j in range(1, n + 1)] for b in range(2, total_blocks + 1)]
-    flags = [f"f{i}_{x}" for i in range(1, d) for x in range(1, ell + 1)]
-    wires = [(w, d) for w in system]
-    for block in blocks[1:]:
-        wires += [(w, d) for w in block]
-    wires += [(f, 2) for f in flags]
-    _, prep = product_state_sud(n, xi)
-    ops = list(prep)
-    for block in blocks[1:]:
-        for copy, src in zip(block, system):
-            ops.append(sum_(copy, src, layer_tag="F"))
-    ops += [hd(f) for f in flags]
-    for i in range(1, d):
-        for x in range(1, ell + 1):
-            block_index = (i - 1) * ell + x  # block 1 is the system itself
-            flag = f"f{i}_{x}"
-            for idx, w in enumerate(blocks[block_index - 1]):
-                ops.append(
-                    phase_k(
-                        w,
-                        num=1,
-                        den=2**x,
-                        offset=spec.kvec[i] if idx == 0 else 0,
-                        level=i,
-                        controls=((flag, 1),),
-                        layer_tag=f"U{i}_{x}",
-                    )
-                )
-    for block in blocks[1:]:
-        for copy, src in zip(block, system):
-            ops.append(sum_dag(copy, src, layer_tag="Fdag"))
-    ops += [hd(f) for f in flags]
-    return Circuit(
-        QuditRegister(wires),
-        ops,
-        accept_rule=(tuple(flags), (0,) * len(flags)),
-        meta=_sud_meta(spec, "fanout", xi),
-    )
+    return _build_fanout(_sud_readout(spec, xi))
+
+
+# the one method registry of the probabilistic schemes, by family
+BUILDERS = {
+    "spin-s": {"qpe-log": build_qpe_log_spin_s, "hadamard": build_hadamard_test_spin_s, "fanout": build_fanout_const_spin_s},
+    "sud": {"qpe-log": build_qpe_log_sud, "hadamard": build_hadamard_test_sud, "fanout": build_fanout_const_sud},
+}
 
 
 def run_postselected(circuit: Circuit, oracle_state: StateVector, shots: int = 0, seed: int | None = None) -> RunReport:
@@ -352,44 +256,18 @@ def run_postselected(circuit: Circuit, oracle_state: StateVector, shots: int = 0
     """
     if circuit.accept_rule is None:
         raise ValueError("circuit has no accept rule to postselect on")
-    start = time.perf_counter()
-    state = circuit.run()
-    wires, digits = circuit.accept_rule
-    notes = list(circuit.meta.get("notes", ()))
-    try:
-        probability, conditional = project_on_outcome(state, wires, digits)
-    except ImpossibleOutcomeError:
-        probability, conditional = 0.0, None
-    if conditional is None:
-        fid = 0.0
-        notes.append("acceptance has probability 0: reported as failure")
-    else:
-        reference = embedded_reference(circuit, oracle_state, dict(zip(wires, digits)))
-        fid = fidelity(conditional, reference)
-    if shots:
-        reg = circuit.register
-        dist = outcome_distribution(state, wires)
-        target = 0
-        stride = 1
-        for w, v in zip(wires, digits):
-            target += v * stride
-            stride *= reg.dim(w)
-        rng = np.random.default_rng(0 if seed is None else int(seed))
-        draws = rng.choice(dist.size, size=int(shots), p=dist / dist.sum())
-        frequency = float(np.count_nonzero(draws == target)) / float(shots)
-        notes.append(f"sampled acceptance frequency {frequency!r} over {shots} shots")
-    gate_count, depth, census = count_resources(circuit)
-    elapsed_ms = int(round((time.perf_counter() - start) * 1000))
-    return RunReport(
-        spec=spec_fields(circuit),
-        acceptance_probability=probability,
-        conditional_fidelity=fid,
-        expected_repetitions=math.inf if probability == 0.0 else 1.0 / probability,
-        gate_count=gate_count,
-        logical_depth=depth,
-        ancilla_census=census,
-        optimal_parameter=circuit.meta.get("optimal_parameter"),
-        seed=seed,
-        wallclock_ms=elapsed_ms,
-        notes=notes,
-    )
+
+    def judge(state, probability, notes):
+        if probability == 0.0:
+            notes.append("acceptance has probability 0: reported as failure")
+        if shots:
+            wires, digits = circuit.accept_rule
+            dist = outcome_distribution(state, wires)
+            rng = np.random.default_rng(0 if seed is None else int(seed))
+            draws = rng.choice(dist.size, size=int(shots), p=dist / dist.sum())
+            hits = np.count_nonzero(draws == outcome_index(circuit.register, wires, digits))
+            frequency = float(hits) / float(shots)
+            notes.append(f"sampled acceptance frequency {frequency!r} over {shots} shots")
+        return probability, math.inf if probability == 0.0 else 1.0 / probability, seed
+
+    return verify_circuit(circuit, oracle_state, judge)

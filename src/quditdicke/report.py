@@ -11,14 +11,17 @@ never in the exchange format.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
+import math
 import re
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sim import Circuit, StateVector
+from .sim import Circuit, ImpossibleOutcomeError, StateVector, fidelity, project_on_outcome
 
 _SYSTEM_WIRE = re.compile(r"^s\d+$")
 
@@ -88,6 +91,12 @@ def embedded_reference(circuit: Circuit, oracle: StateVector, fixed: dict) -> St
     return StateVector(reg, out)
 
 
+def _finite_or_null(value):
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 @dataclass
 class RunReport:
     """One verification record; all fields are JSON-native for round-tripping."""
@@ -105,27 +114,20 @@ class RunReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "acceptance_probability": self.acceptance_probability,
-            "conditional_fidelity": self.conditional_fidelity,
-            "expected_repetitions": self.expected_repetitions,
-            "gate_count": self.gate_count,
-            "logical_depth": self.logical_depth,
-            "ancilla_census": self.ancilla_census,
-            "optimal_parameter": self.optimal_parameter,
-            "seed": self.seed,
-            "wallclock_ms": self.wallclock_ms,
-            "notes": self.notes,
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
-        # floats serialize via repr: shortest form that parses back exactly
-        return json.dumps(self.to_dict(), indent=2)
+        # floats serialize via repr: shortest form that parses back exactly;
+        # strict JSON has no Infinity or NaN, so a non-finite value is null
+        data = {key: _finite_or_null(value) for key, value in self.to_dict().items()}
+        return json.dumps(data, indent=2, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        return cls(**json.loads(text))
+        data = json.loads(text)
+        if data.get("expected_repetitions") is None:
+            data["expected_repetitions"] = math.inf  # acceptance had probability 0
+        return cls(**data)
 
     CSV_HEADER = (
         "family,n,s,k,kvec,method,acceptance_probability,conditional_fidelity,"
@@ -170,3 +172,40 @@ def spec_fields(circuit: Circuit) -> dict:
     else:
         out["kvec"] = list(meta.get("kvec", ()))
     return out
+
+
+def verify_circuit(circuit: Circuit, oracle_state: StateVector, judge) -> RunReport:
+    """The one verify path: simulate, project exactly on the accept rule,
+    take the fidelity against the oracle embedded beside the accept digits,
+    and count resources.
+
+    ``judge(state, probability, notes)`` turns the exact acceptance
+    probability into the report's (acceptance probability, expected
+    repetitions, seed) and may append notes.  An impossible acceptance
+    gives probability 0 and fidelity 0.
+    """
+    start = time.perf_counter()
+    state = circuit.run()
+    wires, digits = circuit.accept_rule
+    notes = list(circuit.meta.get("notes", ()))
+    try:
+        probability, conditional = project_on_outcome(state, wires, digits)
+    except ImpossibleOutcomeError:
+        probability, conditional = 0.0, None
+    fixed = dict(zip(wires, digits))
+    fid = 0.0 if conditional is None else fidelity(conditional, embedded_reference(circuit, oracle_state, fixed))
+    accepted, repetitions, seed = judge(state, probability, notes)
+    gate_count, depth, census = count_resources(circuit)
+    return RunReport(
+        spec=spec_fields(circuit),
+        acceptance_probability=accepted,
+        conditional_fidelity=fid,
+        expected_repetitions=repetitions,
+        gate_count=gate_count,
+        logical_depth=depth,
+        ancilla_census=census,
+        optimal_parameter=circuit.meta.get("optimal_parameter"),
+        seed=seed,
+        wallclock_ms=int(round((time.perf_counter() - start) * 1000)),
+        notes=notes,
+    )

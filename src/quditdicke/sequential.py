@@ -11,20 +11,18 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 
 from .levelsets import LevelSetIndex, build_level_sets
 from .reference import DickeSpecSpinS, DickeSpecSUD, gamma_spin_s, gamma_sud
-from .report import RunReport, count_resources, embedded_reference, spec_fields
+from .report import RunReport, verify_circuit
 from .sim import (
+    ANCILLA_ACCEPT,
+    ATOL_CASCADE,
     Circuit,
     GateOp,
-    ImpossibleOutcomeError,
     QuditRegister,
     StateVector,
-    fidelity,
     phase_k,
-    project_on_outcome,
     rot,
     sum_,
     sum_dag,
@@ -36,7 +34,6 @@ from .sim import (
 logger = logging.getLogger(__name__)
 
 SINE_UNDERFLOW = 1e-14
-SUM_TOLERANCE = 1e-9
 
 
 def rotation_cascade_angles(gammas) -> list[float]:
@@ -49,9 +46,9 @@ def rotation_cascade_angles(gammas) -> list[float]:
     """
     gammas = [float(g) for g in gammas]
     total = sum(g * g for g in gammas)
-    if total > 1.0 + SUM_TOLERANCE:
+    if total > 1.0 + ATOL_CASCADE:
         raise ValueError(f"squared amplitudes sum to {total}, above 1")
-    count = len(gammas) - 1 if abs(total - 1.0) <= SUM_TOLERANCE else len(gammas)
+    count = len(gammas) - 1 if abs(total - 1.0) <= ATOL_CASCADE else len(gammas)
     angles = []
     sine_product = 1.0
     for m in range(count):
@@ -60,7 +57,7 @@ def rotation_cascade_angles(gammas) -> list[float]:
             continue
         ratio = gammas[m] / sine_product
         clamped = min(1.0, max(-1.0, ratio))
-        if abs(ratio - clamped) > 1e-9:
+        if abs(ratio - clamped) > ATOL_CASCADE:
             logger.warning("cascade ratio %.17g clamped to [-1, 1]", ratio)
         theta = 2.0 * math.acos(clamped)
         angles.append(theta)
@@ -235,34 +232,12 @@ def verify_sequential(circuit: Circuit, oracle_state: StateVector) -> RunReport:
     """
     if circuit.accept_rule is None:
         raise ValueError("sequential circuits must carry an accept rule")
-    start = time.perf_counter()
-    state = circuit.run()
-    wires, digits = circuit.accept_rule
-    notes = list(circuit.meta.get("notes", ()))
-    try:
-        probability, conditional = project_on_outcome(state, wires, digits)
-    except ImpossibleOutcomeError:
-        probability, conditional = 0.0, None
-    if conditional is None:
-        fid = 0.0
-    else:
-        reference = embedded_reference(circuit, oracle_state, dict(zip(wires, digits)))
-        fid = fidelity(conditional, reference)
-    ancilla_ok = probability >= 1.0 - 1e-10
-    if not ancilla_ok:
+
+    def judge(state, probability, notes):
+        if probability >= ANCILLA_ACCEPT:
+            return 1.0, 1.0, None
+        digits = circuit.accept_rule[1]
         notes.append(f"ancilla check failed: expected digits {digits} with probability 1, measured {probability!r}")
-    gate_count, depth, census = count_resources(circuit)
-    elapsed_ms = int(round((time.perf_counter() - start) * 1000))
-    return RunReport(
-        spec=spec_fields(circuit),
-        acceptance_probability=1.0 if ancilla_ok else probability,
-        conditional_fidelity=fid,
-        expected_repetitions=1.0,
-        gate_count=gate_count,
-        logical_depth=depth,
-        ancilla_census=census,
-        optimal_parameter=circuit.meta.get("optimal_parameter"),
-        seed=None,
-        wallclock_ms=elapsed_ms,
-        notes=notes,
-    )
+        return probability, 1.0, None
+
+    return verify_circuit(circuit, oracle_state, judge)

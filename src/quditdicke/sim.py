@@ -16,12 +16,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Numerical contract of the simulator: amplitude comparisons, norm drift
-# after a unitary, and unitarity of constructed matrices.
-ATOL_AMPLITUDE = 1e-10
-ATOL_NORM = 1e-12
-ATOL_UNITARY = 1e-10
-FIDELITY_ACCEPT = 1.0 - 1e-9
+# Numerical contract of the package, shared by the builders, the verify
+# path and the acceptance suites.
+ATOL_UNITARY = 1e-10  # unitarity of constructed matrices
+FIDELITY_ACCEPT = 1.0 - 1e-9  # fidelity a prepared state must reach against its oracle
+ANCILLA_ACCEPT = 1.0 - 1e-10  # probability that a deterministic circuit returns its ancillas
+ATOL_PROBABILITY = 1e-9  # simulated acceptance probability against its closed form
+ATOL_IDENTITY = 1e-10  # identities exact in exact arithmetic: duality, charge moments, bond rows
+ATOL_CASCADE = 1e-9  # rotation cascade: squared amplitudes above 1, ratios outside [-1, 1]
 
 GATE_KINDS = (
     "Xd",
@@ -100,9 +102,6 @@ class QuditRegister:
             digits.append(index % dim)
             index //= dim
         return tuple(digits)
-
-    def same_shape(self, other: "QuditRegister") -> bool:
-        return self.dims == other.dims
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{w!r}:{d}" for w, d in zip(self.ids, self.dims))
@@ -257,12 +256,43 @@ def _charge_values(dim: int, level: int | None) -> np.ndarray:
     return (np.arange(dim) == level).astype(float)
 
 
+# parameters each kind needs; the other kinds take none
+_REQUIRED_PARAMS = {"Xswap": {"i", "j"}, "Rot": {"m", "theta"}, "PhaseK": {"num", "den", "offset", "level"}, "DenseUnitary": {"matrix"}}
+
+
+def _check_params(op: GateOp, dims: Sequence[int]) -> None:
+    """Reject parameters ``op`` cannot act with on targets of the given dimensions."""
+    required = _REQUIRED_PARAMS.get(op.kind)
+    if required is None:
+        return
+    params = op.params
+    if not required <= params.keys():
+        raise ValueError(f"{op.kind} is missing parameter(s) {', '.join(sorted(required - params.keys()))}")
+    if op.kind == "Xswap":
+        i, j, d = params["i"], params["j"], dims[0]
+        if i == j or not (0 <= i < d and 0 <= j < d):
+            raise ValueError(f"Xswap levels ({i},{j}) must be distinct and below dimension {d}")
+    elif op.kind == "Rot" and not 0 <= params["m"] < dims[0] - 1:
+        raise ValueError(f"Rot level {params['m']} needs m+1 < dimension {dims[0]}")
+    elif op.kind == "PhaseK":
+        level, d = params["level"], dims[-1]
+        if params["den"] <= 0:
+            raise ValueError("PhaseK denominator must be positive")
+        if level is not None and not 0 <= level < d:
+            raise ValueError(f"PhaseK level {level} out of range for dimension {d}")
+    elif op.kind == "DenseUnitary":
+        full, shape = math.prod(dims), np.shape(params["matrix"])
+        if shape != (full, full):
+            raise ValueError(f"DenseUnitary shape {shape} does not match targets of total dimension {full}")
+
+
 def gate_matrix(op: GateOp, dims: Sequence[int]) -> np.ndarray:
     """Unitary matrix of ``op`` on targets of the given dimensions.
 
     The matrix index convention matches the register: the first target is
     the least-significant digit of the block index.
     """
+    _check_params(op, dims)
     kind = op.kind
     if kind in ("Xd", "XdDag"):
         d = dims[0]
@@ -274,8 +304,6 @@ def gate_matrix(op: GateOp, dims: Sequence[int]) -> np.ndarray:
     if kind == "Xswap":
         d = dims[0]
         i, j = op.params["i"], op.params["j"]
-        if i == j or not (0 <= i < d and 0 <= j < d):
-            raise ValueError(f"Xswap levels ({i},{j}) must be distinct and below dimension {d}")
         m = np.eye(d, dtype=np.complex128)
         m[[i, j]] = m[[j, i]]
         return m
@@ -295,8 +323,6 @@ def gate_matrix(op: GateOp, dims: Sequence[int]) -> np.ndarray:
     if kind == "Rot":
         d = dims[0]
         m0 = op.params["m"]
-        if not 0 <= m0 < d - 1:
-            raise ValueError(f"Rot level {m0} needs m+1 < dimension {d}")
         theta = op.params["theta"]
         c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
         u = np.eye(d, dtype=np.complex128)
@@ -309,14 +335,9 @@ def gate_matrix(op: GateOp, dims: Sequence[int]) -> np.ndarray:
         num, den = op.params["num"], op.params["den"]
         offset, level = op.params["offset"], op.params["level"]
         if len(dims) == 1:
-            d = dims[0]
-            if level is not None and not 0 <= level < d:
-                raise ValueError(f"PhaseK level {level} out of range for dimension {d}")
-            q = _charge_values(d, level)
+            q = _charge_values(dims[0], level)
             return np.diag(np.exp(2j * np.pi * num * (q - offset) / den))
         dx, dm = dims
-        if level is not None and not 0 <= level < dm:
-            raise ValueError(f"PhaseK level {level} out of range for dimension {dm}")
         q = _charge_values(dm, level)
         x = np.arange(dx, dtype=float)
         # block index = x + dx*m; phase multiplies by the first wire's digit
@@ -324,11 +345,7 @@ def gate_matrix(op: GateOp, dims: Sequence[int]) -> np.ndarray:
         diag = np.exp(2j * np.pi * num * expo.reshape(-1) / den)
         return np.diag(diag)
     if kind == "DenseUnitary":
-        matrix = np.asarray(op.params["matrix"], dtype=np.complex128)
-        full = math.prod(dims)
-        if matrix.shape != (full, full):
-            raise ValueError(f"DenseUnitary shape {matrix.shape} does not match targets of total dimension {full}")
-        return matrix
+        return np.asarray(op.params["matrix"], dtype=np.complex128)
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
@@ -348,6 +365,7 @@ def _validate_on(op: GateOp, register: QuditRegister) -> None:
         raise ValueError(f"{op.kind} takes exactly one target")
     if op.kind == "PhaseK" and len(op.targets) not in (1, 2):
         raise ValueError("PhaseK takes one or two targets")
+    _check_params(op, [register.dims[register._pos[w]] for w in op.targets])
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
@@ -372,7 +390,7 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2; insensitive to global phase."""
-    if not a.register.same_shape(b.register):
+    if a.register.dims != b.register.dims:
         raise ValueError("states live on registers of different shapes")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
@@ -427,6 +445,17 @@ def outcome_distribution(state: StateVector, wires: Sequence) -> np.ndarray:
     return np.ascontiguousarray(marg.reshape(-1, order="F"))
 
 
+def outcome_index(register: QuditRegister, wires: Sequence, digits: Sequence[int]) -> int:
+    """Position of ``digits`` in the outcome_distribution over ``wires``."""
+    return QuditRegister.of_dims([register.dim(w) for w in wires]).flat_index(digits)
+
+
+def acceptance_probability(state: StateVector, accept_rule: tuple) -> float:
+    """Exact probability that the accept wires read the accept digits."""
+    wires, digits = accept_rule
+    return float(outcome_distribution(state, wires)[outcome_index(state.register, wires, digits)])
+
+
 def sample_measure(state: StateVector, wires: Sequence, seed: int) -> tuple[tuple[int, ...], StateVector]:
     """Draw one outcome for the listed wires from the exact marginal.
 
@@ -438,12 +467,7 @@ def sample_measure(state: StateVector, wires: Sequence, seed: int) -> tuple[tupl
     probs = outcome_distribution(state, wires)
     rng = np.random.default_rng(int(seed))
     index = int(rng.choice(probs.size, p=probs / probs.sum()))
-    digits = []
-    for w in wires:
-        d = reg.dim(w)
-        digits.append(index % d)
-        index //= d
-    digits = tuple(digits)
+    digits = QuditRegister.of_dims([reg.dim(w) for w in wires]).digits_of(index)
     _, collapsed = project_on_outcome(state, wires, digits)
     return digits, collapsed
 

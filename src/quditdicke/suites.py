@@ -9,20 +9,20 @@ never disagree about what passing means.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .levelsets import build_level_sets, verify_level_set_proposition
+from .levelsets import build_level_sets, compositions, verify_level_set_proposition
 from .qpe import (
+    BUILDERS,
     build_fanout_const_spin_s,
     build_fanout_const_sud,
     build_hadamard_test_spin_s,
     build_hadamard_test_sud,
-    build_qpe_log_spin_s,
-    build_qpe_log_sud,
     run_postselected,
 )
 from .reference import (
@@ -40,19 +40,16 @@ from .reference import (
 )
 from .report import count_resources
 from .sequential import build_sequential_spin_s, build_sequential_sud, spin_s_l_range, verify_sequential
-from .sim import fidelity, outcome_distribution
+from .sim import (
+    ANCILLA_ACCEPT,
+    ATOL_IDENTITY,
+    ATOL_PROBABILITY,
+    FIDELITY_ACCEPT,
+    acceptance_probability,
+    fidelity,
+)
 
 DEFAULT_MAX_AMPLITUDES = 10**6
-
-
-def compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """All length-d vectors of nonnegative integers summing to n."""
-    if d == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in compositions(n - first, d - 1):
-            yield (first,) + rest
 
 
 def spin_s_grid(max_twice_s: int, max_n: int) -> Iterator[DickeSpecSpinS]:
@@ -89,95 +86,68 @@ def _result(ident: str, description: str, failures: list[str], skips: list[str])
     return CriterionResult(ident, description, passed=not failures, details=details)
 
 
+def _family(spec) -> tuple[str, str]:
+    """Family name and spec label, as they appear in detail lines."""
+    if isinstance(spec, DickeSpecSpinS):
+        return "spin-s", f"n={spec.n} 2s={spec.twice_s} k={spec.k}"
+    return "sud", f"n={spec.n} kvec={spec.kvec}"
+
+
+def _criterion_sequential(ident, description, specs, build, oracle, ancillas, max_amplitudes) -> CriterionResult:
+    failures, skips = [], []
+    for spec in specs:
+        family, label = _family(spec)
+        circuit = build(spec)
+        if circuit.register.size > max_amplitudes:
+            skips.append(f"{family} {label}: register size {circuit.register.size}")
+            continue
+        report = verify_sequential(circuit, oracle(spec))
+        if report.acceptance_probability < ANCILLA_ACCEPT:
+            failures.append(f"{label}: {ancillas} probability {report.acceptance_probability!r}")
+        if report.conditional_fidelity < FIDELITY_ACCEPT:
+            failures.append(f"{label}: fidelity {report.conditional_fidelity!r}")
+    return _result(ident, description, failures, skips)
+
+
 def criterion_sequential_spin_s(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> CriterionResult:
     description = "sequential spin-s circuits match the closed form (2s<=3, n<=5, all k)"
-    failures, skips = [], []
-    for spec in spin_s_grid(3, 5):
-        circuit = build_sequential_spin_s(spec)
-        if circuit.register.size > max_amplitudes:
-            skips.append(f"spin-s n={spec.n} 2s={spec.twice_s} k={spec.k}: register size {circuit.register.size}")
-            continue
-        report = verify_sequential(circuit, spin_s_dicke(spec))
-        if report.acceptance_probability < 1.0 - 1e-10:
-            failures.append(f"n={spec.n} 2s={spec.twice_s} k={spec.k}: ancilla probability {report.acceptance_probability!r}")
-        if report.conditional_fidelity < 1.0 - 1e-9:
-            failures.append(f"n={spec.n} 2s={spec.twice_s} k={spec.k}: fidelity {report.conditional_fidelity!r}")
-    return _result("criterion-1", description, failures, skips)
+    return _criterion_sequential(
+        "criterion-1", description, spin_s_grid(3, 5), build_sequential_spin_s, spin_s_dicke, "ancilla", max_amplitudes
+    )
 
 
 def criterion_sequential_sud(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> CriterionResult:
     description = "sequential multilevel circuits match the closed form (d<=4, n<=5, all compositions)"
-    failures, skips = [], []
-    for spec in sud_grid(4, 5):
-        circuit = build_sequential_sud(spec)
-        if circuit.register.size > max_amplitudes:
-            skips.append(f"sud n={spec.n} kvec={spec.kvec}: register size {circuit.register.size}")
-            continue
-        report = verify_sequential(circuit, sud_dicke(spec))
-        if report.acceptance_probability < 1.0 - 1e-10:
-            failures.append(f"n={spec.n} kvec={spec.kvec}: ancilla/flag probability {report.acceptance_probability!r}")
-        if report.conditional_fidelity < 1.0 - 1e-9:
-            failures.append(f"n={spec.n} kvec={spec.kvec}: fidelity {report.conditional_fidelity!r}")
-    return _result("criterion-2", description, failures, skips)
-
-
-_SPIN_S_BUILDERS = (
-    ("qpe-log", build_qpe_log_spin_s),
-    ("hadamard", build_hadamard_test_spin_s),
-    ("fanout", build_fanout_const_spin_s),
-)
-_SUD_BUILDERS = (
-    ("qpe-log", build_qpe_log_sud),
-    ("hadamard", build_hadamard_test_sud),
-    ("fanout", build_fanout_const_sud),
-)
+    return _criterion_sequential(
+        "criterion-2", description, sud_grid(4, 5), build_sequential_sud, sud_dicke, "ancilla/flag", max_amplitudes
+    )
 
 
 def criterion_qpe_probabilities(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> CriterionResult:
     description = "probabilistic builders accept with the exact success probability (six schemes)"
     failures, skips = [], []
-    for spec in spin_s_grid(3, 4):
-        expected = probability_spin_s(spec.n, spec.twice_s, spec.k).probability
-        oracle = spin_s_dicke(spec)
-        for method, build in _SPIN_S_BUILDERS:
+    for spec in itertools.chain(spin_s_grid(3, 4), sud_grid(3, 4)):
+        family, label = _family(spec)
+        if family == "spin-s":
+            expected, oracle = probability_spin_s(spec.n, spec.twice_s, spec.k).probability, spin_s_dicke(spec)
+        else:
+            expected, oracle = probability_sud(spec.n, spec.kvec).probability, sud_dicke(spec)
+        for method, build in BUILDERS[family].items():
+            case = f"{family} {method} {label}"
             circuit = build(spec)
             if circuit.register.size > max_amplitudes:
-                skips.append(f"spin-s {method} n={spec.n} 2s={spec.twice_s} k={spec.k}: register size {circuit.register.size}")
+                skips.append(f"{case}: register size {circuit.register.size}")
                 continue
             report = run_postselected(circuit, oracle)
-            if abs(report.acceptance_probability - expected) > 1e-9:
-                failures.append(
-                    f"spin-s {method} n={spec.n} 2s={spec.twice_s} k={spec.k}: "
-                    f"probability {report.acceptance_probability!r} vs {expected!r}"
-                )
-            if report.conditional_fidelity < 1.0 - 1e-9:
-                failures.append(f"spin-s {method} n={spec.n} 2s={spec.twice_s} k={spec.k}: fidelity {report.conditional_fidelity!r}")
-    for spec in sud_grid(3, 4):
-        expected = probability_sud(spec.n, spec.kvec).probability
-        oracle = sud_dicke(spec)
-        for method, build in _SUD_BUILDERS:
-            circuit = build(spec)
-            if circuit.register.size > max_amplitudes:
-                skips.append(f"sud {method} n={spec.n} kvec={spec.kvec}: register size {circuit.register.size}")
-                continue
-            report = run_postselected(circuit, oracle)
-            if abs(report.acceptance_probability - expected) > 1e-9:
-                failures.append(f"sud {method} n={spec.n} kvec={spec.kvec}: probability {report.acceptance_probability!r} vs {expected!r}")
-            if report.conditional_fidelity < 1.0 - 1e-9:
-                failures.append(f"sud {method} n={spec.n} kvec={spec.kvec}: fidelity {report.conditional_fidelity!r}")
+            if abs(report.acceptance_probability - expected) > ATOL_PROBABILITY:
+                failures.append(f"{case}: probability {report.acceptance_probability!r} vs {expected!r}")
+            if report.conditional_fidelity < FIDELITY_ACCEPT:
+                failures.append(f"{case}: fidelity {report.conditional_fidelity!r}")
     return _result("criterion-3", description, failures, skips)
 
 
 def _acceptance_probability(circuit) -> float:
-    state = circuit.run()
-    wires, digits = circuit.accept_rule
-    dist = outcome_distribution(state, wires)
-    index = 0
-    stride = 1
-    for w, v in zip(wires, digits):
-        index += v * stride
-        stride *= circuit.register.dim(w)
-    return float(dist[index])
+    return acceptance_probability(circuit.run(), circuit.accept_rule)
 
 
 def criterion_parameter_optimality(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES, seed: int = 404) -> CriterionResult:
@@ -241,16 +211,16 @@ def criterion_duality_and_charge(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -
         mirror = spin_s_dicke(DickeSpecSpinS(spec.n, spec.twice_s, spec.max_charge - spec.k))
         dual = apply_charge_conjugation(state, spec.twice_s)
         f = fidelity(dual, mirror)
-        if f < 1.0 - 1e-10:
+        if f < 1.0 - ATOL_IDENTITY:
             failures.append(f"duality n={spec.n} 2s={spec.twice_s} k={spec.k}: fidelity {f!r}")
         mean, var = charge_moments_spin_s(state, spec.twice_s)
-        if abs(mean - spec.k) > 1e-10 or abs(var) > 1e-10:
+        if abs(mean - spec.k) > ATOL_IDENTITY or abs(var) > ATOL_IDENTITY:
             failures.append(f"charge n={spec.n} 2s={spec.twice_s} k={spec.k}: mean {mean!r} var {var!r}")
     for spec in sud_grid(4, 5):
         state = sud_dicke(spec)
         for level in range(1, spec.d):
             mean, var = charge_moments_sud(state, spec.d, level)
-            if abs(mean - spec.kvec[level]) > 1e-10 or abs(var) > 1e-10:
+            if abs(mean - spec.kvec[level]) > ATOL_IDENTITY or abs(var) > ATOL_IDENTITY:
                 failures.append(f"occupation n={spec.n} kvec={spec.kvec} level={level}: mean {mean!r} var {var!r}")
     return _result("criterion-6", description, failures, [])
 
@@ -289,28 +259,25 @@ def criterion_mps_canonical(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> Cri
             for l in range(spec.k + 1):
                 row = [gamma_spin_s(spec.n, spec.twice_s, spec.k, i, l, m) for m in range(spec.twice_s + 1)]
                 total = sum(g * g for g in row)
-                if any(row) and abs(total - 1.0) > 1e-10:
+                if any(row) and abs(total - 1.0) > ATOL_IDENTITY:
                     failures.append(f"spin-s row n={spec.n} 2s={spec.twice_s} k={spec.k} i={i} l={l}: sum {total!r}")
     for spec in sud_grid(4, 5):
         levels = build_level_sets(spec.kvec)
         for i in range(1, spec.n + 1):
             for a in levels.elements(i - 1):
                 total = sum(gamma_sud(spec.n, spec.kvec, i, a, m) ** 2 for m in range(spec.d))
-                if abs(total - 1.0) > 1e-10:
+                if abs(total - 1.0) > ATOL_IDENTITY:
                     failures.append(f"sud row n={spec.n} kvec={spec.kvec} i={i} a={a}: sum {total!r}")
-    for spec in spin_s_grid(3, 5):
-        oracle = spin_s_dicke(spec)
+    for spec in itertools.chain(spin_s_grid(3, 5), sud_grid(4, 5)):
+        family, label = _family(spec)
+        if family == "spin-s":
+            oracle, amplitude = spin_s_dicke(spec), mps_amplitude_spin_s
+        else:
+            oracle, amplitude = sud_dicke(spec), mps_amplitude_sud
         for index, target in enumerate(oracle.amplitudes):
             digits = oracle.register.digits_of(index)
-            if abs(mps_amplitude_spin_s(spec, digits) - target.real) > 1e-10:
-                failures.append(f"spin-s contraction n={spec.n} 2s={spec.twice_s} k={spec.k} digits={digits}")
-                break
-    for spec in sud_grid(4, 5):
-        oracle = sud_dicke(spec)
-        for index, target in enumerate(oracle.amplitudes):
-            digits = oracle.register.digits_of(index)
-            if abs(mps_amplitude_sud(spec, digits) - target.real) > 1e-10:
-                failures.append(f"sud contraction n={spec.n} kvec={spec.kvec} digits={digits}")
+            if abs(amplitude(spec, digits) - target.real) > ATOL_IDENTITY:
+                failures.append(f"{family} contraction {label} digits={digits}")
                 break
     return _result("criterion-7", description, failures, [])
 
@@ -379,14 +346,12 @@ def criterion_sampling(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES, shots: int 
     failures: list[str] = []
     cases = []
     spin_spec = DickeSpecSpinS(3, 2, 3)
-    for method, build in _SPIN_S_BUILDERS:
+    for method, build in BUILDERS["spin-s"].items():
         cases.append((f"spin-s {method}", build(spin_spec), spin_s_dicke(spin_spec), probability_spin_s(3, 2, 3).probability))
-    sud_spec = DickeSpecSUD(3, (1, 1, 1))
-    for method, build in _SUD_BUILDERS[:2]:
-        cases.append((f"sud {method}", build(sud_spec), sud_dicke(sud_spec), probability_sud(3, (1, 1, 1)).probability))
-    # the d=3 fan-out register grows fastest; sample it at n=2 to stay under the cap
-    small = DickeSpecSUD(2, (1, 1, 0))
-    cases.append(("sud fanout", build_fanout_const_sud(small), sud_dicke(small), probability_sud(2, (1, 1, 0)).probability))
+    for method, build in BUILDERS["sud"].items():
+        # the d=3 fan-out register grows fastest; sample it at n=2 to stay under the cap
+        spec = DickeSpecSUD(2, (1, 1, 0)) if method == "fanout" else DickeSpecSUD(3, (1, 1, 1))
+        cases.append((f"sud {method}", build(spec), sud_dicke(spec), probability_sud(spec.n, spec.kvec).probability))
     for name, circuit, oracle, exact in cases:
         first = run_postselected(circuit, oracle, shots=shots, seed=seed)
         again = run_postselected(circuit, oracle, shots=shots, seed=seed)

@@ -398,6 +398,24 @@ def test_run_postselected_reports_impossible_acceptance_as_failure():
     assert any("probability 0" in note for note in report.notes)
 
 
+def test_impossible_acceptance_report_is_strict_json():
+    import json
+
+    from quditdicke.report import RunReport
+    from quditdicke.sim import Circuit
+
+    reg = QuditRegister([("s1", 2), ("q0", 2)])
+    circuit = Circuit(reg, [], accept_rule=(("q0",), (1,)), meta={"system_wires": ("s1",)})
+    report = run_postselected(circuit, new_basis_state(QuditRegister.of_dims([2]), (0,)))
+    text = report.to_json()
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    assert json.loads(text, parse_constant=reject)["expected_repetitions"] is None
+    assert RunReport.from_json(text) == report
+
+
 def test_exported_qpe_circuit_simulates_identically():
     # the exchange format preserves the full pipeline, Fourier block included
     from quditdicke.serialize import circuit_from_json, circuit_to_json
@@ -431,3 +449,34 @@ def test_sampling_notes_are_deterministic():
     frequency = float(note[0].split()[3])
     sigma = math.sqrt(0.5 * 0.5 / 2000)
     assert abs(frequency - 0.5) < 5 * sigma
+
+
+# sha256 of circuit_to_json, wire ids and layer tags, recorded from the
+# per-family builders; any change to what a builder emits changes a digest
+PINNED_BUILDS = [
+    (build_qpe_log_spin_s, DickeSpecSpinS(2, 2, 2), "217ce4763b9f784f3340509b4abab7810c434126ce8c9f0bfbb974f1abc3f22f"),
+    (build_qpe_log_spin_s, DickeSpecSpinS(3, 1, 1), "0fa86226a76ac8de94491807a6ba76563adcc6ce36d3edac60519e3eadce3086"),
+    (build_hadamard_test_spin_s, DickeSpecSpinS(2, 2, 2), "bcb40f42f7ae6689c0fc7510a18ac6bd0ddcbf6c45b598681a9f3120d993de4d"),
+    (build_hadamard_test_spin_s, DickeSpecSpinS(3, 1, 1), "9015ae3c1e4b11cf386bbf25588b8b74a9699c8c01cfe49063cb56fcfae9902f"),
+    (build_fanout_const_spin_s, DickeSpecSpinS(2, 2, 2), "9a289d211743665851bb34eb7c45c5f16212591293a900ce9aafe92c0e8205e6"),
+    (build_fanout_const_spin_s, DickeSpecSpinS(3, 1, 1), "6c8447c01643f11084222e871e0aeeb6c2714cf477fb4da81a39691e87668e18"),
+    (build_qpe_log_sud, DickeSpecSUD(2, (1, 1, 0)), "594a343a4c6043ac8a18bdcc12667deeb891bdc599a9ae80f53e9bee1967f09c"),
+    (build_qpe_log_sud, DickeSpecSUD(3, (1, 1, 1)), "dd42ec86a7a42d27935f6cfb4e27ac56067ca4ca44b04bdb9c016299f0248059"),
+    (build_hadamard_test_sud, DickeSpecSUD(2, (1, 1, 0)), "e3f4ea1317eeee8575706bc29c77de9f6ad8b4c75d1c7e2f87c2e73ba8a3e6df"),
+    (build_hadamard_test_sud, DickeSpecSUD(3, (1, 1, 1)), "91dcbd482b9a441213b03c06cee18de96688cf3f67fbbc354ff6aaee86438e13"),
+    (build_fanout_const_sud, DickeSpecSUD(2, (1, 1, 0)), "5c1ad56855ec0f6956f02c6602f062a52ed3c6072c078f35016b6a7aacd2115e"),
+    (build_fanout_const_sud, DickeSpecSUD(3, (1, 1, 1)), "ae32a8d5e7dda423ccf1e5356d686ce39920b358f31eca5d9763540a94d40850"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, spec, expected", PINNED_BUILDS, ids=[f"{build.__name__}-n{spec.n}" for build, spec, _ in PINNED_BUILDS]
+)
+def test_builder_output_is_pinned(build, spec, expected):
+    import hashlib
+
+    from quditdicke.serialize import circuit_to_json
+
+    circuit = build(spec)
+    text = "\n".join([circuit_to_json(circuit), repr(circuit.register.ids), repr([op.layer_tag for op in circuit.ops])])
+    assert hashlib.sha256(text.encode()).hexdigest() == expected

@@ -339,6 +339,22 @@ def test_circuit_validates_ops_and_accept_rule():
         Circuit(reg, [], accept_rule=((0,), (2,)))
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        {"kind": "Xswap", "params": {"i": 0, "j": 7}, "targets": [0], "controls": []},
+        {"kind": "PhaseK", "params": {"num": 1, "den": 3, "offset": 0, "level": 5}, "targets": [0], "controls": []},
+        {"kind": "Rot", "params": {"m": 0}, "targets": [0], "controls": []},
+    ],
+    ids=["xswap-level-7", "phasek-level-5", "rot-without-theta"],
+)
+def test_bad_gate_parameters_fail_at_load(op):
+    import json
+
+    with pytest.raises(ValueError):
+        circuit_from_json(json.dumps({"register": [3], "ops": [op], "accept_rule": None}))
+
+
 def test_exchange_format_round_trip():
     rng = np.random.default_rng(9)
     reg = QuditRegister.of_dims([2, 3, 2])
