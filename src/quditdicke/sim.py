@@ -4,8 +4,12 @@ Flat amplitude indices use a mixed-radix encoding in which the first wire
 of the register is the least-significant digit, so an index reads like the
 ket string written right to left.  All operations here are pure: they
 return new states and never mutate their inputs, which makes states safe
-to share across threads.  Gate application is a single dense block
-update, so results are deterministic for a fixed input.
+to share across threads.  ``apply_gate`` copies the input once and then
+updates only the controlled subspace with a kernel chosen by gate kind:
+slice copies for the permutations (Xd, XdDag, Xswap, Sum, SumDag), a
+two-slice update for Rot, in-place slice scaling for PhaseK, and a dense
+block matrix product for Hd, HdDag and DenseUnitary.  Results are
+deterministic for a fixed input.
 """
 
 from __future__ import annotations
@@ -256,6 +260,16 @@ def _charge_values(dim: int, level: int | None) -> np.ndarray:
     return (np.arange(dim) == level).astype(float)
 
 
+def _phases(params: dict, dims: Sequence[int]) -> np.ndarray:
+    """PhaseK phase of each target digit tuple, one array axis per target."""
+    num, den, offset = params["num"], params["den"], params["offset"]
+    q = _charge_values(dims[-1], params["level"]) - offset
+    if len(dims) == 2:
+        # the phase multiplies by the first wire's digit x: axis 0 is x, axis 1 is m
+        q = np.multiply.outer(np.arange(dims[0], dtype=float), q)
+    return np.exp(2j * np.pi * num * q / den)
+
+
 # parameters each kind needs; the other kinds take none
 _REQUIRED_PARAMS = {"Xswap": {"i", "j"}, "Rot": {"m", "theta"}, "PhaseK": {"num", "den", "offset", "level"}, "DenseUnitary": {"matrix"}}
 
@@ -293,6 +307,11 @@ def gate_matrix(op: GateOp, dims: Sequence[int]) -> np.ndarray:
     the least-significant digit of the block index.
     """
     _check_params(op, dims)
+    return _matrix(op, dims)
+
+
+def _matrix(op: GateOp, dims: Sequence[int]) -> np.ndarray:
+    """gate_matrix for an op whose parameters are already checked."""
     kind = op.kind
     if kind in ("Xd", "XdDag"):
         d = dims[0]
@@ -332,18 +351,7 @@ def gate_matrix(op: GateOp, dims: Sequence[int]) -> np.ndarray:
         u[m0 + 1, m0] = s
         return u
     if kind == "PhaseK":
-        num, den = op.params["num"], op.params["den"]
-        offset, level = op.params["offset"], op.params["level"]
-        if len(dims) == 1:
-            q = _charge_values(dims[0], level)
-            return np.diag(np.exp(2j * np.pi * num * (q - offset) / den))
-        dx, dm = dims
-        q = _charge_values(dm, level)
-        x = np.arange(dx, dtype=float)
-        # block index = x + dx*m; phase multiplies by the first wire's digit
-        expo = np.add.outer(np.zeros(dm), x) * (q[:, None] - offset)
-        diag = np.exp(2j * np.pi * num * expo.reshape(-1) / den)
-        return np.diag(diag)
+        return np.diag(_phases(op.params, dims).reshape(-1, order="F"))
     if kind == "DenseUnitary":
         return np.asarray(op.params["matrix"], dtype=np.complex128)
     raise ValueError(f"unknown gate kind {kind!r}")
@@ -368,23 +376,85 @@ def _validate_on(op: GateOp, register: QuditRegister) -> None:
     _check_params(op, [register.dims[register._pos[w]] for w in op.targets])
 
 
+def _shift_kernel(op, tdims, src, dst):
+    d = tdims[0]
+    shift = 1 if op.kind == "Xd" else -1
+    for x in range(d):
+        dst[(x + shift) % d, ...] = src[x, ...]
+
+
+def _swap_kernel(op, tdims, src, dst):
+    i, j = op.params["i"], op.params["j"]
+    dst[i, ...] = src[j, ...]
+    dst[j, ...] = src[i, ...]
+
+
+def _sum_kernel(op, tdims, src, dst):
+    da, db = tdims
+    sign = 1 if op.kind == "Sum" else -1
+    # the x = 0 slices keep the values the output copied from the input
+    for x in range(1, db):
+        for y in range(da):
+            dst[(y + sign * x) % da, x, ...] = src[y, x, ...]
+
+
+def _rot_kernel(op, tdims, src, dst):
+    m = op.params["m"]
+    theta = op.params["theta"]
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    a, b = src[m, ...], src[m + 1, ...]
+    lo, hi = dst[m, ...], dst[m + 1, ...]
+    scratch = np.empty_like(b)  # a 0-d array, not a scalar, when the view is one amplitude
+    np.multiply(b, s, out=scratch)
+    np.multiply(a, c, out=lo)
+    lo -= scratch
+    np.multiply(b, c, out=scratch)
+    np.multiply(a, s, out=hi)
+    hi += scratch
+
+
+def _phase_kernel(op, tdims, src, dst):
+    phases = _phases(op.params, tdims)
+    for digits in zip(*np.nonzero(phases != 1.0)):
+        level = dst[digits + (Ellipsis,)]
+        level *= phases[digits]
+
+
+def _matmul_kernel(op, tdims, src, dst):
+    block = src.reshape((math.prod(tdims), -1), order="F")
+    dst[...] = (_matrix(op, tdims) @ block).reshape(dst.shape, order="F")
+
+
+# Each kernel writes the gate's action on the controlled subspace ``src``
+# (target axes first) into ``dst``, which starts as a copy of ``src``.
+_KERNELS = {
+    "Xd": _shift_kernel,
+    "XdDag": _shift_kernel,
+    "Xswap": _swap_kernel,
+    "Sum": _sum_kernel,
+    "SumDag": _sum_kernel,
+    "Hd": _matmul_kernel,
+    "HdDag": _matmul_kernel,
+    "Rot": _rot_kernel,
+    "PhaseK": _phase_kernel,
+    "DenseUnitary": _matmul_kernel,
+}
+
+
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate; identity outside the controlled subspace."""
     reg = state.register
     _validate_on(op, reg)
-    tdims = tuple(reg.dim(w) for w in op.targets)
-    matrix = gate_matrix(op, tdims)
-    out = state.amplitudes.copy()
-    arr = out.reshape(reg.dims, order="F")
     tpos = [reg.position(w) for w in op.targets]
-    cpos = [reg.position(w) for w, _ in op.controls]
-    moved = np.moveaxis(arr, tpos + cpos, range(len(tpos) + len(cpos)))
+    front = tpos + [reg.position(w) for w, _ in op.controls]
+    order = front + [p for p in range(len(reg)) if p not in front]
     sel = (slice(None),) * len(tpos) + tuple(v for _, v in op.controls)
-    sub = moved[sel]
-    block_dim = math.prod(tdims)
-    block = sub.reshape((block_dim, -1), order="F")
-    block = matrix @ block
-    sub[...] = block.reshape(sub.shape, order="F")
+
+    def controlled(amplitudes):
+        return amplitudes.reshape(reg.dims, order="F").transpose(order)[sel]
+
+    out = state.amplitudes.copy()
+    _KERNELS[op.kind](op, tuple(reg.dims[p] for p in tpos), controlled(state.amplitudes), controlled(out))
     return StateVector(reg, out)
 
 

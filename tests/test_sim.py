@@ -6,9 +6,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from quditdicke.qpe import BUILDERS
+from quditdicke.reference import DickeSpecSpinS, DickeSpecSUD
+from quditdicke.sequential import build_sequential_spin_s, build_sequential_sud
 from quditdicke.serialize import circuit_from_json, circuit_to_json, dump_amplitudes_csv
 from quditdicke.sim import (
+    GATE_KINDS,
     Circuit,
     ImpossibleOutcomeError,
     QuditRegister,
@@ -223,6 +229,86 @@ def test_apply_gate_matches_naive_oracle():
             fast = apply_gate(state, op)
             slow = naive_apply(state, op)
             assert np.allclose(fast.amplitudes, slow.amplitudes, atol=1e-10), op.kind
+
+
+@st.composite
+def gate_cases(draw):
+    """(register dims, op, seed): any gate kind on 1 to 4 mixed-dimension wires, 0 to 2 controls."""
+    kind = draw(st.sampled_from(GATE_KINDS))
+    arity = 2 if kind in ("Sum", "SumDag") else draw(st.integers(1, 2)) if kind in ("PhaseK", "DenseUnitary") else 1
+    dims = draw(st.lists(st.integers(2, 4), min_size=arity, max_size=4))
+    wires = draw(st.permutations(range(len(dims))))
+    targets = tuple(wires[:arity])
+    free = wires[arity:]
+    controls = tuple((w, draw(st.integers(0, dims[w] - 1))) for w in free[: draw(st.integers(0, min(2, len(free))))])
+    d = dims[targets[0]]
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "Xswap":
+        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        op = xswap(targets[0], i, j, controls)
+    elif kind == "Rot":
+        op = rot(targets[0], draw(st.integers(0, d - 2)), draw(st.floats(-2 * np.pi, 2 * np.pi)), controls)
+    elif kind == "PhaseK":
+        level = draw(st.none() | st.integers(0, dims[targets[-1]] - 1))
+        num, den, offset = draw(st.integers(-3, 3)), draw(st.integers(1, 8)), draw(st.integers(0, 3))
+        op = phase_k(targets, num, den, offset, level, controls)
+    elif kind == "DenseUnitary":
+        rng, full = np.random.default_rng(seed), math.prod(dims[t] for t in targets)
+        unitary = scipy.linalg.qr(rng.normal(size=(full, full)) + 1j * rng.normal(size=(full, full)))[0]
+        op = dense_unitary(targets, unitary, controls)
+    else:
+        op = {"Xd": xd, "XdDag": xd_dag, "Hd": hd, "HdDag": hd_dag, "Sum": sum_, "SumDag": sum_dag}[kind](*targets, controls)
+    return dims, op, seed
+
+
+# each level slice of the controlled view is 0-dimensional: a one-wire register, or controls that pin every other wire
+@example(([3], rot(0, 1, 0.7), 0))
+@example(([4], xd(0), 1))
+@example(([3], phase_k(0, 1, 5, offset=1), 2))
+@example(([2, 3, 2], rot(1, 1, 0.4, controls=((0, 1), (2, 0))), 3))
+@example(([3, 2, 2], sum_dag(0, 1, controls=((2, 1),)), 4))
+@example(([2, 3, 4], phase_k((1, 2), 1, 7, level=3, controls=((0, 1),)), 5))
+@example(([3, 2], phase_k(0, 0, 3, controls=((1, 1),)), 6))
+@example(([2, 3], hd(1, controls=((0, 0),)), 7))
+@settings(deadline=None, max_examples=300)
+@given(gate_cases())
+def test_apply_gate_matches_naive_oracle_every_kind(case):
+    dims, op, seed = case
+    state = random_state(QuditRegister.of_dims(dims), np.random.default_rng(seed))
+    before = state.amplitudes.copy()
+    fast = apply_gate(state, op)
+    assert np.allclose(fast.amplitudes, naive_apply(state, op).amplitudes, rtol=0, atol=1e-10)
+    assert np.array_equal(state.amplitudes, before)
+
+
+def dense_apply(state, op):
+    """Block update with the full gate matrix: the simulator's plain dense path."""
+    reg = state.register
+    tdims = tuple(reg.dim(w) for w in op.targets)
+    out = state.amplitudes.copy()
+    tpos = [reg.position(w) for w in op.targets]
+    cpos = [reg.position(w) for w, _ in op.controls]
+    moved = np.moveaxis(out.reshape(reg.dims, order="F"), tpos + cpos, range(len(tpos) + len(cpos)))
+    sub = moved[(slice(None),) * len(tpos) + tuple(v for _, v in op.controls)]
+    block = gate_matrix(op, tdims) @ sub.reshape((math.prod(tdims), -1), order="F")
+    sub[...] = block.reshape(sub.shape, order="F")
+    return StateVector(reg, out)
+
+
+_SEQUENTIAL = {"spin-s": build_sequential_spin_s, "sud": build_sequential_sud}
+_SMALL_SPECS = {"spin-s": DickeSpecSpinS(2, 2, 2), "sud": DickeSpecSUD(2, (1, 1, 0))}
+
+
+@pytest.mark.parametrize("family", ["spin-s", "sud"])
+@pytest.mark.parametrize("method", ["sequential", "qpe-log", "hadamard", "fanout"])
+def test_circuit_run_matches_dense_path(family, method):
+    builder = _SEQUENTIAL[family] if method == "sequential" else BUILDERS[family][method]
+    circuit = builder(_SMALL_SPECS[family])
+    fast = dense = new_basis_state(circuit.register, (0,) * len(circuit.register))
+    for op in circuit.ops:
+        fast, dense = apply_gate(fast, op), dense_apply(dense, op)
+        assert np.allclose(fast.amplitudes, dense.amplitudes, rtol=0, atol=1e-12), op.kind
+    assert np.allclose(circuit.run().amplitudes, dense.amplitudes, rtol=0, atol=1e-12)
 
 
 def test_norm_preservation_and_unitarity_every_kind():
