@@ -28,7 +28,10 @@ from .suites import DEFAULT_MAX_AMPLITUDES, run_all
 
 def _parse_spin(text: str) -> int:
     """Spin value like '0.5', '1', or '3/2', returned as twice the spin."""
-    twice = 2 * Fraction(text)
+    try:
+        twice = 2 * Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"spin {text} has a zero denominator") from None
     if twice.denominator != 1 or twice < 1:
         raise ValueError(f"spin {text} is not a positive half-integer")
     return int(twice)

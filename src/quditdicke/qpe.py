@@ -54,8 +54,8 @@ def _site_amplitudes_sud(xi) -> np.ndarray:
     xi = np.asarray([float(v) for v in xi])
     if xi.ndim != 1 or xi.size < 2:
         raise ValueError("xi must be a vector of at least two weights")
-    if np.any(xi < 0):
-        raise ValueError("xi components must be nonnegative")
+    if not np.all(np.isfinite(xi)) or np.any(xi < 0):
+        raise ValueError("xi components must be finite and nonnegative")
     norm = np.linalg.norm(xi)
     if norm == 0.0:
         raise ValueError("xi must not be the zero vector")
@@ -140,7 +140,7 @@ def _wire(prefix: str, label: str, index="") -> str:
 def _circuit(readout: ChargeReadout, method: str, ancillas, ops, accept_rule, notes=()) -> Circuit:
     system = readout.system
     wires = [(w, readout.site_amps.size) for w in system] + list(ancillas)
-    meta = {**readout.meta, "method": method, "system_wires": tuple(system), "notes": list(notes)}
+    meta = {**readout.meta, "method": method, "notes": list(notes)}
     return Circuit(QuditRegister(wires), _prep_ops(readout.site_amps, system) + ops, accept_rule, meta)
 
 

@@ -15,23 +15,12 @@ import dataclasses
 import io
 import json
 import math
-import re
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .sim import Circuit, ImpossibleOutcomeError, StateVector, fidelity, project_on_outcome
-
-_SYSTEM_WIRE = re.compile(r"^s\d+$")
-
-
-def _system_wires(circuit: Circuit) -> tuple:
-    wires = circuit.meta.get("system_wires")
-    if wires is not None:
-        return tuple(wires)
-    return tuple(w for w in circuit.register.ids if isinstance(w, str) and _SYSTEM_WIRE.match(w))
-
 
 def logical_depth(circuit: Circuit) -> int:
     groups: list[set] = []
@@ -55,39 +44,36 @@ def logical_depth(circuit: Circuit) -> int:
     return depth
 
 
-def ancilla_census(circuit: Circuit) -> list[list[int]]:
-    """Non-system wires grouped by dimension, as sorted [dimension, count] pairs."""
-    system = set(_system_wires(circuit))
+def ancilla_census(circuit: Circuit, n: int | None = None) -> list[list[int]]:
+    """Wires after the n system wires grouped by dimension, as sorted
+    [dimension, count] pairs; ``n`` defaults to the builder's ``meta["n"]``."""
+    n = circuit.meta.get("n", 0) if n is None else n
     counts: dict[int, int] = {}
-    for wire, dim in zip(circuit.register.ids, circuit.register.dims):
-        if wire not in system:
-            counts[dim] = counts.get(dim, 0) + 1
+    for dim in circuit.register.dims[n:]:
+        counts[dim] = counts.get(dim, 0) + 1
     return [[dim, counts[dim]] for dim in sorted(counts)]
 
 
-def count_resources(circuit: Circuit) -> tuple[int, int, list[list[int]]]:
-    """(gate count, logical depth, ancilla census) of a built circuit."""
-    return len(circuit.ops), logical_depth(circuit), ancilla_census(circuit)
+def count_resources(circuit: Circuit, n: int | None = None) -> tuple[int, int, list[list[int]]]:
+    """(gate count, logical depth, ancilla census) of a circuit whose first n wires are the system."""
+    return len(circuit.ops), logical_depth(circuit), ancilla_census(circuit, n)
 
 
 def embedded_reference(circuit: Circuit, oracle: StateVector, fixed: dict) -> StateVector:
     """Oracle on the system wires, fixed digits everywhere else.
 
-    ``fixed`` maps every non-system wire to its expected digit; wires not
-    listed default to 0.
+    The system is the register's first ``len(oracle.register)`` wires: every
+    builder emits s1..sn first, and a circuit reloaded from the exchange
+    format keeps that order.  ``fixed`` maps every non-system wire to its
+    expected digit; wires not listed default to 0.
     """
     reg = circuit.register
-    system = _system_wires(circuit)
-    sys_dims = tuple(reg.dim(w) for w in system)
-    if sys_dims != oracle.register.dims:
+    n = len(oracle.register)
+    if reg.dims[:n] != oracle.register.dims:
         raise ValueError("oracle register does not match the circuit's system wires")
-    others = tuple(w for w in reg.ids if w not in set(system))
     out = np.zeros(reg.size, dtype=np.complex128)
-    view = out.reshape(reg.dims, order="F")
-    pos = [reg.position(w) for w in system]
-    moved = np.moveaxis(view, pos, range(len(pos)))
-    sel = (slice(None),) * len(system) + tuple(int(fixed.get(w, 0)) for w in others)
-    moved[sel] = oracle.amplitudes.reshape(sys_dims, order="F")
+    sel = (slice(None),) * n + tuple(int(fixed.get(w, 0)) for w in reg.ids[n:])
+    out.reshape(reg.dims, order="F")[sel] = oracle.amplitudes.reshape(oracle.register.dims, order="F")
     return StateVector(reg, out)
 
 
@@ -195,7 +181,7 @@ def verify_circuit(circuit: Circuit, oracle_state: StateVector, judge) -> RunRep
     fixed = dict(zip(wires, digits))
     fid = 0.0 if conditional is None else fidelity(conditional, embedded_reference(circuit, oracle_state, fixed))
     accepted, repetitions, seed = judge(state, probability, notes)
-    gate_count, depth, census = count_resources(circuit)
+    gate_count, depth, census = count_resources(circuit, len(oracle_state.register))
     return RunReport(
         spec=spec_fields(circuit),
         acceptance_probability=accepted,

@@ -141,7 +141,6 @@ def build_sequential_spin_s(spec: DickeSpecSpinS, via_duality: bool = False) -> 
             "n": n,
             "twice_s": twice_s,
             "k": k,
-            "system_wires": tuple(f"s{j}" for j in range(1, n + 1)),
             "optimal_parameter": None,
         },
     )
@@ -216,7 +215,6 @@ def build_sequential_sud(spec: DickeSpecSUD) -> Circuit:
             "method": "sequential",
             "n": n,
             "kvec": kvec,
-            "system_wires": tuple(f"s{j}" for j in range(1, n + 1)),
             "optimal_parameter": None,
         },
     )

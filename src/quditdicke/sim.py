@@ -242,13 +242,16 @@ def phase_k(targets, num: int, den: int, offset: int = 0, level: int | None = No
     return GateOp("PhaseK", targets, params, controls, layer_tag)
 
 
+def _is_unitary(matrix: np.ndarray) -> bool:
+    return np.allclose(matrix.conj().T @ matrix, np.eye(matrix.shape[0]), atol=ATOL_UNITARY)
+
+
 def dense_unitary(targets, matrix, controls=(), layer_tag=None) -> GateOp:
     """Explicit unitary block over the target wires; unitarity is checked here."""
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
-    eye = np.eye(matrix.shape[0])
-    if not np.allclose(matrix.conj().T @ matrix, eye, atol=ATOL_UNITARY):
+    if not _is_unitary(matrix):
         raise ValueError("matrix is not unitary within tolerance")
     targets = tuple(targets) if isinstance(targets, (tuple, list)) else (targets,)
     return GateOp("DenseUnitary", targets, {"matrix": matrix}, controls, layer_tag)
@@ -295,9 +298,11 @@ def _check_params(op: GateOp, dims: Sequence[int]) -> None:
         if level is not None and not 0 <= level < d:
             raise ValueError(f"PhaseK level {level} out of range for dimension {d}")
     elif op.kind == "DenseUnitary":
-        full, shape = math.prod(dims), np.shape(params["matrix"])
-        if shape != (full, full):
-            raise ValueError(f"DenseUnitary shape {shape} does not match targets of total dimension {full}")
+        full, matrix = math.prod(dims), np.asarray(params["matrix"], dtype=np.complex128)
+        if matrix.shape != (full, full):
+            raise ValueError(f"DenseUnitary shape {matrix.shape} does not match targets of total dimension {full}")
+        if not _is_unitary(matrix):
+            raise ValueError("DenseUnitary matrix is not unitary within tolerance")
 
 
 def gate_matrix(op: GateOp, dims: Sequence[int]) -> np.ndarray:
@@ -549,8 +554,8 @@ class Circuit:
     ``accept_rule`` is a (wires, digits) pair naming the postselection
     pattern; deterministic builders use it to record the expected final
     ancilla digits.  ``meta`` carries builder bookkeeping (family, method,
-    system wires, optimal parameter) and is not part of the exchange
-    format.
+    system size n, optimal parameter) and is not part of the exchange
+    format; builders put the n system wires first in the register.
     """
 
     register: QuditRegister

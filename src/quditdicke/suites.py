@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -91,6 +93,30 @@ def _family(spec) -> tuple[str, str]:
     if isinstance(spec, DickeSpecSpinS):
         return "spin-s", f"n={spec.n} 2s={spec.twice_s} k={spec.k}"
     return "sud", f"n={spec.n} kvec={spec.kvec}"
+
+
+def _bond_factorization(spec):
+    """Site dimension, bond labels before site i, label step, coefficient(i, label, m),
+    label name in detail lines, and the labels before the first and after the last site."""
+    if isinstance(spec, DickeSpecSpinS):
+        n, twice_s, k = spec.n, spec.twice_s, spec.k
+        return (
+            spec.dim,
+            lambda i: range(k + 1),
+            operator.add,
+            lambda i, j, m: gamma_spin_s(n, twice_s, k, i, j, m),
+            "l",
+            (0, k),
+        )
+    levels = build_level_sets(spec.kvec)
+    return (
+        spec.d,
+        lambda i: levels.elements(i - 1),
+        lambda a, m: a[:m] + (a[m] + 1,) + a[m + 1 :],
+        lambda i, a, m: gamma_sud(spec.n, spec.kvec, i, a, m),
+        "a",
+        ((0,) * spec.d, spec.kvec),
+    )
 
 
 def _criterion_sequential(ident, description, specs, build, oracle, ancillas, max_amplitudes) -> CriterionResult:
@@ -225,60 +251,32 @@ def criterion_duality_and_charge(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -
     return _result("criterion-6", description, failures, [])
 
 
-def mps_amplitude_spin_s(spec: DickeSpecSpinS, digits: tuple[int, ...]) -> float:
-    """Contract the bond factorization along one digit string."""
-    amp = 1.0
-    j = 0
-    for i, m in enumerate(digits, start=1):
-        amp *= gamma_spin_s(spec.n, spec.twice_s, spec.k, i, j, m)
-        if amp == 0.0:
-            return 0.0
-        j += m
-    return amp if j == spec.k else 0.0
-
-
-def mps_amplitude_sud(spec: DickeSpecSUD, digits: tuple[int, ...]) -> float:
-    amp = 1.0
-    a = (0,) * spec.d
-    for i, m in enumerate(digits, start=1):
-        g = gamma_sud(spec.n, spec.kvec, i, a, m)
-        if g == 0.0:
-            return 0.0
-        amp *= g
-        a = a[:m] + (a[m] + 1,) + a[m + 1 :]
-    return amp
-
-
 def criterion_mps_canonical(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> CriterionResult:
     description = "bond tensors are isometric rows and contract to the closed forms (n<=5)"
     failures: list[str] = []
-    for spec in spin_s_grid(3, 5):
-        if spec.k == 0:
-            continue
-        for i in range(1, spec.n + 1):
-            for l in range(spec.k + 1):
-                row = [gamma_spin_s(spec.n, spec.twice_s, spec.k, i, l, m) for m in range(spec.twice_s + 1)]
-                total = sum(g * g for g in row)
-                if any(row) and abs(total - 1.0) > ATOL_IDENTITY:
-                    failures.append(f"spin-s row n={spec.n} 2s={spec.twice_s} k={spec.k} i={i} l={l}: sum {total!r}")
-    for spec in sud_grid(4, 5):
-        levels = build_level_sets(spec.kvec)
-        for i in range(1, spec.n + 1):
-            for a in levels.elements(i - 1):
-                total = sum(gamma_sud(spec.n, spec.kvec, i, a, m) ** 2 for m in range(spec.d))
-                if abs(total - 1.0) > ATOL_IDENTITY:
-                    failures.append(f"sud row n={spec.n} kvec={spec.kvec} i={i} a={a}: sum {total!r}")
     for spec in itertools.chain(spin_s_grid(3, 5), sud_grid(4, 5)):
         family, label = _family(spec)
-        if family == "spin-s":
-            oracle, amplitude = spin_s_dicke(spec), mps_amplitude_spin_s
-        else:
-            oracle, amplitude = sud_dicke(spec), mps_amplitude_sud
-        for index, target in enumerate(oracle.amplitudes):
-            digits = oracle.register.digits_of(index)
-            if abs(amplitude(spec, digits) - target.real) > ATOL_IDENTITY:
-                failures.append(f"{family} contraction {label} digits={digits}")
-                break
+        dim, labels, step, coefficient, name, (first, last) = _bond_factorization(spec)
+        # amplitudes of every digit string of the sites so far, by the bond label it ends on
+        prefix = {first: np.ones(1)}
+        for i in range(1, spec.n + 1):
+            rows = {}
+            for bond in labels(i):
+                row = rows[bond] = [coefficient(i, bond, m) for m in range(dim)]
+                total = sum(g * g for g in row)
+                if any(row) and abs(total - 1.0) > ATOL_IDENTITY:
+                    failures.append(f"{family} row {label} i={i} {name}={bond}: sum {total!r}")
+            size = dim ** (i - 1)
+            contracted = defaultdict(lambda: np.zeros(dim * size))
+            for bond, amplitudes in prefix.items():
+                for m, g in enumerate(rows[bond]):
+                    if g != 0.0:
+                        contracted[step(bond, m)][m * size : (m + 1) * size] = amplitudes * g
+            prefix = contracted
+        oracle = spin_s_dicke(spec) if family == "spin-s" else sud_dicke(spec)
+        mismatch = np.flatnonzero(np.abs(prefix.get(last, 0.0) - oracle.amplitudes.real) > ATOL_IDENTITY)
+        if mismatch.size:
+            failures.append(f"{family} contraction {label} digits={oracle.register.digits_of(int(mismatch[0]))}")
     return _result("criterion-7", description, failures, [])
 
 

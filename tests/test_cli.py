@@ -49,6 +49,19 @@ def test_prepare_rejects_fractional_spin(capsys):
     assert "half-integer" in capsys.readouterr().err
 
 
+def test_prepare_rejects_zero_denominator_spin(capsys):
+    code = run_cli(["prepare", "--family", "spin-s", "--n", "2", "--s", "1/0", "--k", "1", "--method", "sequential"])
+    assert code == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("xi", ["1,nan", "1,inf"])
+def test_prepare_rejects_non_finite_xi(xi, capsys):
+    code = run_cli(["prepare", "--family", "sud", "--n", "2", "--kvec", "1,1", "--method", "hadamard", "--xi", xi])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2():
     assert run_cli([]) == 2
     assert run_cli(["prepare", "--family", "bogus", "--n", "2"]) == 2

@@ -429,6 +429,20 @@ def test_exported_qpe_circuit_simulates_identically():
     assert probability == pytest.approx(probability_spin_s(2, 2, 3).probability, abs=1e-9)
 
 
+def test_reloaded_circuit_verifies():
+    # a reloaded circuit has integer wire ids and no builder metadata; its
+    # system is still the register's first n wires
+    from quditdicke.serialize import circuit_from_json, circuit_to_json
+
+    spec = DickeSpecSpinS(2, 1, 1)
+    circuit = build_hadamard_test_spin_s(spec)
+    original = run_postselected(circuit, spin_s_dicke(spec))
+    reloaded = run_postselected(circuit_from_json(circuit_to_json(circuit)), spin_s_dicke(spec))
+    assert reloaded.acceptance_probability == original.acceptance_probability
+    assert reloaded.conditional_fidelity == original.conditional_fidelity
+    assert reloaded.ancilla_census == original.ancilla_census
+
+
 def test_run_postselected_on_deterministic_circuit():
     from quditdicke.sequential import build_sequential_spin_s
 

@@ -16,6 +16,7 @@ from quditdicke.serialize import circuit_from_json, circuit_to_json, dump_amplit
 from quditdicke.sim import (
     GATE_KINDS,
     Circuit,
+    GateOp,
     ImpossibleOutcomeError,
     QuditRegister,
     StateVector,
@@ -431,14 +432,26 @@ def test_circuit_validates_ops_and_accept_rule():
         {"kind": "Xswap", "params": {"i": 0, "j": 7}, "targets": [0], "controls": []},
         {"kind": "PhaseK", "params": {"num": 1, "den": 3, "offset": 0, "level": 5}, "targets": [0], "controls": []},
         {"kind": "Rot", "params": {"m": 0}, "targets": [0], "controls": []},
+        {
+            "kind": "DenseUnitary",
+            "params": {"matrix": [[[1, 0], [1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]},
+            "targets": [0],
+            "controls": [],
+        },
     ],
-    ids=["xswap-level-7", "phasek-level-5", "rot-without-theta"],
+    ids=["xswap-level-7", "phasek-level-5", "rot-without-theta", "dense-not-unitary"],
 )
 def test_bad_gate_parameters_fail_at_load(op):
     import json
 
     with pytest.raises(ValueError):
         circuit_from_json(json.dumps({"register": [3], "ops": [op], "accept_rule": None}))
+
+
+def test_circuit_rejects_non_unitary_dense_block():
+    reg = QuditRegister.of_dims([2])
+    with pytest.raises(ValueError, match="not unitary"):
+        Circuit(reg, [GateOp("DenseUnitary", (0,), {"matrix": [[1, 1], [0, 1]]})])
 
 
 def test_exchange_format_round_trip():
