@@ -151,6 +151,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_prepare(args) -> int:
+    if args.shots < 0:
+        raise ValueError(f"--shots must be >= 0, got {args.shots}")
     spec, circuit = _spec_and_circuit(args)
     _cap_check(circuit, args.max_amplitudes)
     oracle = _oracle(spec)
@@ -185,6 +187,8 @@ def _cmd_sweep(args) -> int:
     if args.param == "p":
         if args.method == "sequential":
             raise ValueError("--param p applies to the probabilistic methods")
+        if args.points < 1:
+            raise ValueError(f"--points must be >= 1, got {args.points}")
         spec = _spec_from_args(args)
         points = (i / (args.points - 1) if args.points > 1 else 0.0 for i in range(args.points))
         grid = ((p, spec, p) for p in points)

@@ -10,26 +10,13 @@ middle family.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator
-
-
-def _bounded_compositions(bounds: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
-    """All vectors 0 <= a_j <= bounds_j with sum(a) = total."""
-    if total < 0:
-        return
-    if not bounds:
-        if total == 0:
-            yield ()
-        return
-    first = bounds[0]
-    for value in range(min(first, total), -1, -1):
-        for rest in _bounded_compositions(bounds[1:], total - value):
-            yield (value,) + rest
 
 
 def compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
     """All length-d vectors of nonnegative integers summing to n, largest first entry first."""
-    return _bounded_compositions((n,) * d, n)
+    return (a for a in product(range(n, -1, -1), repeat=d) if sum(a) == n)
 
 
 class LevelSetIndex:
@@ -40,11 +27,11 @@ class LevelSetIndex:
         if any(v < 0 for v in self.kvec) or not self.kvec:
             raise ValueError("occupation vector must be nonempty and nonnegative")
         self.n = sum(self.kvec)
-        levels = []
-        for i in range(self.n + 1):
-            elements = sorted(_bounded_compositions(self.kvec, i), reverse=True)
-            levels.append(tuple(elements))
-        self.levels = tuple(levels)
+        # descending lexicographic order, which is label order, so each level needs no sort
+        levels = [[] for _ in range(self.n + 1)]
+        for a in product(*(range(k, -1, -1) for k in self.kvec)):
+            levels[sum(a)].append(a)
+        self.levels = tuple(map(tuple, levels))
         self._label = tuple({a: j for j, a in enumerate(level)} for level in self.levels)
 
     def elements(self, i: int) -> tuple[tuple[int, ...], ...]:
@@ -80,7 +67,7 @@ class LevelSetIndex:
 
 
 def build_level_sets(kvec) -> LevelSetIndex:
-    """Enumerate, sort, and label every level family of ``kvec``."""
+    """Enumerate and label every level family of ``kvec``."""
     return LevelSetIndex(kvec)
 
 

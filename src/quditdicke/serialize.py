@@ -15,7 +15,7 @@ from typing import IO
 
 import numpy as np
 
-from .sim import Circuit, GateOp, QuditRegister, StateVector, dense_unitary
+from .sim import Circuit, GateOp, QuditRegister, StateVector
 
 
 def _params_to_json(op: GateOp) -> dict:
@@ -53,15 +53,10 @@ def circuit_from_dict(data: dict) -> Circuit:
     register = QuditRegister.of_dims(data["register"])
     ops = []
     for entry in data["ops"]:
-        kind = entry["kind"]
         params = dict(entry.get("params") or {})
-        targets = tuple(entry["targets"])
-        controls = tuple((w, v) for w, v in entry.get("controls") or ())
-        if kind == "DenseUnitary":
-            matrix = np.array([[complex(re, im) for re, im in row] for row in params["matrix"]])
-            ops.append(dense_unitary(targets, matrix, controls=controls))
-        else:
-            ops.append(GateOp(kind, targets, params, controls))
+        if entry["kind"] == "DenseUnitary" and "matrix" in params:
+            params["matrix"] = np.array([[complex(re, im) for re, im in row] for row in params["matrix"]])
+        ops.append(GateOp(entry["kind"], entry["targets"], params, entry.get("controls") or ()))
     accept = data.get("accept_rule")
     accept_rule = None
     if accept is not None:

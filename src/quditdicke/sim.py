@@ -29,18 +29,21 @@ ATOL_PROBABILITY = 1e-9  # simulated acceptance probability against its closed f
 ATOL_IDENTITY = 1e-10  # identities exact in exact arithmetic: duality, charge moments, bond rows
 ATOL_CASCADE = 1e-9  # rotation cascade: squared amplitudes above 1, ratios outside [-1, 1]
 
-GATE_KINDS = (
-    "Xd",
-    "XdDag",
-    "Xswap",
-    "Sum",
-    "SumDag",
-    "Hd",
-    "HdDag",
-    "Rot",
-    "PhaseK",
-    "DenseUnitary",
-)
+# target counts (None: any) and parameter names of each gate kind
+_SIGNATURES = {
+    "Xd": ((1,), ()),
+    "XdDag": ((1,), ()),
+    "Xswap": ((1,), ("i", "j")),
+    "Sum": ((2,), ()),
+    "SumDag": ((2,), ()),
+    "Hd": ((1,), ()),
+    "HdDag": ((1,), ()),
+    "Rot": ((1,), ("m", "theta")),
+    "PhaseK": ((1, 2), ("num", "den", "offset", "level")),
+    "DenseUnitary": (None, ("matrix",)),
+}
+GATE_KINDS = tuple(_SIGNATURES)
+
 
 class ImpossibleOutcomeError(ValueError):
     """Projection on an outcome that carries exactly zero probability."""
@@ -142,7 +145,8 @@ class GateOp:
     where every control wire holds its value.  At most two controls are
     supported.  ``layer_tag`` groups ops that count as a single layer for
     depth accounting (e.g. one logical fan-out emitted as two-wire sums);
-    it does not affect the unitary.
+    it does not affect the unitary.  An op checks on construction all that
+    needs no register; placing it on a register checks only the fit.
     """
 
     kind: str
@@ -152,7 +156,7 @@ class GateOp:
     layer_tag: str | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        if self.kind not in _SIGNATURES:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         self.targets = tuple(self.targets)
         self.controls = tuple((w, int(v)) for w, v in self.controls)
@@ -166,6 +170,23 @@ class GateOp:
         overlap = set(self.targets) & set(control_wires)
         if overlap:
             raise ValueError(f"wires {overlap} appear as both target and control")
+        counts, names = _SIGNATURES[self.kind]
+        if counts is not None and len(self.targets) not in counts:
+            raise ValueError(f"{self.kind} takes {' or '.join(map(str, counts))} target(s), got {len(self.targets)}")
+        params = self.params
+        missing = sorted(name for name in names if name not in params)
+        if missing:
+            raise ValueError(f"{self.kind} is missing parameter(s) {', '.join(missing)}")
+        if self.kind == "Xswap" and (params["i"] == params["j"] or min(params["i"], params["j"]) < 0):
+            raise ValueError(f"Xswap levels ({params['i']},{params['j']}) must be distinct and nonnegative")
+        if self.kind == "PhaseK" and params["den"] <= 0:
+            raise ValueError("PhaseK denominator must be positive")
+        if self.kind == "DenseUnitary":
+            matrix = np.asarray(params["matrix"], dtype=np.complex128)
+            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+                raise ValueError(f"DenseUnitary matrix must be square, got shape {matrix.shape}")
+            if not np.allclose(matrix.conj().T @ matrix, np.eye(matrix.shape[0]), atol=ATOL_UNITARY):
+                raise ValueError("DenseUnitary matrix is not unitary within tolerance")
 
     def wires(self) -> tuple:
         return self.targets + tuple(w for w, _ in self.controls)
@@ -200,8 +221,6 @@ def xd_dag(wire, controls=(), layer_tag=None) -> GateOp:
 
 def xswap(wire, i: int, j: int, controls=(), layer_tag=None) -> GateOp:
     """Transposition of levels i and j on one wire."""
-    if i == j:
-        raise ValueError("Xswap levels must differ")
     return GateOp("Xswap", (wire,), {"i": int(i), "j": int(j)}, controls, layer_tag)
 
 
@@ -236,25 +255,14 @@ def phase_k(targets, num: int, den: int, offset: int = 0, level: int | None = No
     additionally multiplied by the first wire's digit x.
     """
     targets = tuple(targets) if isinstance(targets, (tuple, list)) else (targets,)
-    if den <= 0:
-        raise ValueError("PhaseK denominator must be positive")
     params = {"num": int(num), "den": int(den), "offset": int(offset), "level": None if level is None else int(level)}
     return GateOp("PhaseK", targets, params, controls, layer_tag)
 
 
-def _is_unitary(matrix: np.ndarray) -> bool:
-    return np.allclose(matrix.conj().T @ matrix, np.eye(matrix.shape[0]), atol=ATOL_UNITARY)
-
-
 def dense_unitary(targets, matrix, controls=(), layer_tag=None) -> GateOp:
-    """Explicit unitary block over the target wires; unitarity is checked here."""
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("matrix must be square")
-    if not _is_unitary(matrix):
-        raise ValueError("matrix is not unitary within tolerance")
+    """Explicit unitary block over the target wires; GateOp checks unitarity."""
     targets = tuple(targets) if isinstance(targets, (tuple, list)) else (targets,)
-    return GateOp("DenseUnitary", targets, {"matrix": matrix}, controls, layer_tag)
+    return GateOp("DenseUnitary", targets, {"matrix": np.asarray(matrix, dtype=np.complex128)}, controls, layer_tag)
 
 
 def _charge_values(dim: int, level: int | None) -> np.ndarray:
@@ -273,36 +281,19 @@ def _phases(params: dict, dims: Sequence[int]) -> np.ndarray:
     return np.exp(2j * np.pi * num * q / den)
 
 
-# parameters each kind needs; the other kinds take none
-_REQUIRED_PARAMS = {"Xswap": {"i", "j"}, "Rot": {"m", "theta"}, "PhaseK": {"num", "den", "offset", "level"}, "DenseUnitary": {"matrix"}}
-
-
-def _check_params(op: GateOp, dims: Sequence[int]) -> None:
-    """Reject parameters ``op`` cannot act with on targets of the given dimensions."""
-    required = _REQUIRED_PARAMS.get(op.kind)
-    if required is None:
-        return
+def _check_dims(op: GateOp, dims: Sequence[int]) -> None:
+    """Reject a level or block size that targets of the given dimensions cannot hold."""
     params = op.params
-    if not required <= params.keys():
-        raise ValueError(f"{op.kind} is missing parameter(s) {', '.join(sorted(required - params.keys()))}")
-    if op.kind == "Xswap":
-        i, j, d = params["i"], params["j"], dims[0]
-        if i == j or not (0 <= i < d and 0 <= j < d):
-            raise ValueError(f"Xswap levels ({i},{j}) must be distinct and below dimension {d}")
-    elif op.kind == "Rot" and not 0 <= params["m"] < dims[0] - 1:
+    if op.kind == "Xswap" and max(params["i"], params["j"]) >= dims[0]:
+        raise ValueError(f"Xswap levels ({params['i']},{params['j']}) must be below dimension {dims[0]}")
+    if op.kind == "Rot" and not 0 <= params["m"] < dims[0] - 1:
         raise ValueError(f"Rot level {params['m']} needs m+1 < dimension {dims[0]}")
-    elif op.kind == "PhaseK":
-        level, d = params["level"], dims[-1]
-        if params["den"] <= 0:
-            raise ValueError("PhaseK denominator must be positive")
-        if level is not None and not 0 <= level < d:
-            raise ValueError(f"PhaseK level {level} out of range for dimension {d}")
-    elif op.kind == "DenseUnitary":
-        full, matrix = math.prod(dims), np.asarray(params["matrix"], dtype=np.complex128)
-        if matrix.shape != (full, full):
-            raise ValueError(f"DenseUnitary shape {matrix.shape} does not match targets of total dimension {full}")
-        if not _is_unitary(matrix):
-            raise ValueError("DenseUnitary matrix is not unitary within tolerance")
+    if op.kind == "PhaseK" and params["level"] is not None and not 0 <= params["level"] < dims[-1]:
+        raise ValueError(f"PhaseK level {params['level']} out of range for dimension {dims[-1]}")
+    if op.kind == "DenseUnitary":
+        full, shape = math.prod(dims), np.shape(params["matrix"])
+        if shape != (full, full):
+            raise ValueError(f"DenseUnitary shape {shape} does not match targets of total dimension {full}")
 
 
 def gate_matrix(op: GateOp, dims: Sequence[int]) -> np.ndarray:
@@ -311,7 +302,7 @@ def gate_matrix(op: GateOp, dims: Sequence[int]) -> np.ndarray:
     The matrix index convention matches the register: the first target is
     the least-significant digit of the block index.
     """
-    _check_params(op, dims)
+    _check_dims(op, dims)
     return _matrix(op, dims)
 
 
@@ -363,22 +354,11 @@ def _matrix(op: GateOp, dims: Sequence[int]) -> np.ndarray:
 
 
 def _validate_on(op: GateOp, register: QuditRegister) -> None:
-    for wire in op.targets:
-        if wire not in register:
-            raise ValueError(f"target wire {wire!r} not in register")
+    """Reject an op that does not fit the register; GateOp checked the rest when it was made."""
     for wire, value in op.controls:
-        if wire not in register:
-            raise ValueError(f"control wire {wire!r} not in register")
         if not 0 <= value < register.dim(wire):
             raise ValueError(f"control value {value} out of range for wire {wire!r}")
-    arity = {"Sum": 2, "SumDag": 2}.get(op.kind)
-    if arity is not None and len(op.targets) != arity:
-        raise ValueError(f"{op.kind} takes exactly {arity} targets")
-    if op.kind in ("Xd", "XdDag", "Xswap", "Hd", "HdDag", "Rot") and len(op.targets) != 1:
-        raise ValueError(f"{op.kind} takes exactly one target")
-    if op.kind == "PhaseK" and len(op.targets) not in (1, 2):
-        raise ValueError("PhaseK takes one or two targets")
-    _check_params(op, [register.dims[register._pos[w]] for w in op.targets])
+    _check_dims(op, [register.dim(w) for w in op.targets])
 
 
 def _shift_kernel(op, tdims, src, dst):

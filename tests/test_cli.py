@@ -62,6 +62,28 @@ def test_prepare_rejects_non_finite_xi(xi, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_prepare_rejects_negative_shots(capsys, monkeypatch):
+    monkeypatch.setattr("quditdicke.cli._spec_and_circuit", lambda args: pytest.fail("built a circuit"))
+    code = run_cli(
+        ["prepare", "--family", "spin-s", "--n", "2", "--s", "1", "--k", "1", "--method", "hadamard",
+         "--seed", "1", "--shots", "-1"]
+    )
+    assert code == 2
+    assert "--shots must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_sweep_rejects_empty_grid(points, capsys):
+    code = run_cli(
+        ["sweep", "--family", "spin-s", "--n", "2", "--s", "0.5", "--k", "1", "--method", "hadamard",
+         "--param", "p", "--points", points]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--points must be >= 1" in captured.err
+    assert captured.out == ""
+
+
 def test_usage_errors_exit_2():
     assert run_cli([]) == 2
     assert run_cli(["prepare", "--family", "bogus", "--n", "2"]) == 2

@@ -448,6 +448,33 @@ def test_bad_gate_parameters_fail_at_load(op):
         circuit_from_json(json.dumps({"register": [3], "ops": [op], "accept_rule": None}))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GateOp("Sum", (0,)),
+        lambda: GateOp("Rot", (0,), {"m": 0}),
+        lambda: GateOp("PhaseK", (0,), {"num": 1, "den": 0, "offset": 0, "level": None}),
+        lambda: GateOp("Xswap", (0,), {"i": 1, "j": 1}),
+        lambda: GateOp("DenseUnitary", (0,), {"matrix": [[1, 0, 0]]}),
+    ],
+    ids=["sum-one-target", "rot-without-theta", "phasek-zero-den", "xswap-equal-levels", "dense-not-square"],
+)
+def test_malformed_op_fails_when_made(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize(
+    "dims, op",
+    [([2], xswap(0, 0, 2)), ([3], phase_k(0, 1, 3, level=3))],
+    ids=["xswap-level-2-on-qubit", "phasek-level-3-on-qutrit"],
+)
+def test_apply_gate_rejects_op_that_does_not_fit_register(dims, op):
+    state = new_basis_state(QuditRegister.of_dims(dims), (0,))
+    with pytest.raises(ValueError):
+        apply_gate(state, op)
+
+
 def test_circuit_rejects_non_unitary_dense_block():
     reg = QuditRegister.of_dims([2])
     with pytest.raises(ValueError, match="not unitary"):
@@ -481,6 +508,17 @@ def test_exchange_format_round_trip():
     assert np.allclose(original.amplitudes, copied.amplitudes, atol=1e-10)
     # serialize -> parse -> serialize is a fixed point
     assert circuit_to_json(rebuilt) == text
+
+
+@settings(deadline=None, max_examples=300)
+@given(gate_cases())
+def test_exchange_format_round_trip_every_kind(case):
+    dims, op, _ = case
+    circuit = Circuit(QuditRegister.of_dims(dims), [op])
+    text = circuit_to_json(circuit)
+    rebuilt = circuit_from_json(text)
+    assert circuit_to_json(rebuilt) == text
+    assert rebuilt.run().amplitudes.tobytes() == circuit.run().amplitudes.tobytes()
 
 
 def test_amplitude_dump_site_n_first():
