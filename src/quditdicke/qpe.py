@@ -251,13 +251,16 @@ def run_postselected(circuit: Circuit, oracle_state: StateVector, shots: int = 0
     """Simulate, project exactly on the accept rule, and report.
 
     With ``shots`` > 0 the accept-register marginal is also sampled with a
-    seeded generator and the empirical acceptance frequency is noted;
-    reruns with the same seed are bit-identical.
+    seeded generator; the empirical acceptance frequency is the report's
+    ``sampled_frequency`` and is also noted.  Reruns with the same seed are
+    bit-identical.
     """
     if circuit.accept_rule is None:
         raise ValueError("circuit has no accept rule to postselect on")
+    frequency = None
 
     def judge(state, probability, notes):
+        nonlocal frequency
         if probability == 0.0:
             notes.append("acceptance has probability 0: reported as failure")
         if shots:
@@ -270,4 +273,6 @@ def run_postselected(circuit: Circuit, oracle_state: StateVector, shots: int = 0
             notes.append(f"sampled acceptance frequency {frequency!r} over {shots} shots")
         return probability, math.inf if probability == 0.0 else 1.0 / probability, seed
 
-    return verify_circuit(circuit, oracle_state, judge)
+    report = verify_circuit(circuit, oracle_state, judge)
+    report.sampled_frequency = frequency
+    return report

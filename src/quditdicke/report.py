@@ -98,6 +98,7 @@ class RunReport:
     seed: int | None = None
     wallclock_ms: int = 0
     notes: list = field(default_factory=list)
+    sampled_frequency: float | None = None  # share of seeded shots that drew the accept digits
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

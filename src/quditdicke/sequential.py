@@ -107,14 +107,12 @@ def build_sequential_spin_s(spec: DickeSpecSpinS, via_duality: bool = False) -> 
     |2sn-k>.
     """
     if via_duality:
-        mirror = DickeSpecSpinS(spec.n, spec.twice_s, spec.max_charge - spec.k)
-        circuit = build_sequential_spin_s(mirror, via_duality=False)
-        for j in range(1, spec.n + 1):
-            for m in range((spec.twice_s + 1) // 2):
-                circuit.ops.append(xswap(f"s{j}", m, spec.twice_s - m))
-        circuit.meta["k"] = spec.k
-        circuit.meta["notes"] = list(circuit.meta.get("notes", ())) + ["prepared via charge conjugation of the mirror target"]
-        return circuit
+        mirror = build_sequential_spin_s(DickeSpecSpinS(spec.n, spec.twice_s, spec.max_charge - spec.k))
+        ops = mirror.ops + [
+            xswap(f"s{j}", m, spec.twice_s - m) for j in range(1, spec.n + 1) for m in range((spec.twice_s + 1) // 2)
+        ]
+        notes = list(mirror.meta.get("notes", ())) + ["prepared via charge conjugation of the mirror target"]
+        return Circuit(mirror.register, ops, mirror.accept_rule, dict(mirror.meta, k=spec.k, notes=notes))
 
     n, twice_s, k = spec.n, spec.twice_s, spec.k
     dim = spec.dim

@@ -10,13 +10,26 @@ slice copies for the permutations (Xd, XdDag, Xswap, Sum, SumDag), a
 two-slice update for Rot, in-place slice scaling for PhaseK, and a dense
 block matrix product for Hd, HdDag and DenseUnitary.  Results are
 deterministic for a fixed input.
+
+``Circuit.run`` keeps the state factorized: a list of groups, each a
+StateVector on the sub-register of the wires it holds, with every wire in
+its own one-wire group at its initial digit.  Before an op acts, the groups
+holding its targets and controls are merged by an outer product (the first
+group's wires least significant), and ``apply_gate`` then acts on the
+merged group alone.  A wire that no op has yet joined to the others costs
+d amplitudes, so the one-wire preparation cascades that open the
+probabilistic circuits, and the sites of a sequential circuit before the
+bond ancilla reaches them, never touch the full register.  At the end the
+groups are multiplied into one vector and transposed into the register's
+wire order, so ``run`` still returns the full dense register state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -137,7 +150,7 @@ def new_basis_state(register: QuditRegister, digits: Sequence[int]) -> StateVect
     return StateVector(register, amps)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GateOp:
     """One gate: a kind from GATE_KINDS, target wires, optional controls.
 
@@ -146,20 +159,29 @@ class GateOp:
     supported.  ``layer_tag`` groups ops that count as a single layer for
     depth accounting (e.g. one logical fan-out emitted as two-wire sums);
     it does not affect the unitary.  An op checks on construction all that
-    needs no register; placing it on a register checks only the fit.
+    needs no register; placing it on a register checks only the fit.  An op
+    is immutable: ``params`` is a read-only mapping over a copy of the
+    given one, and a DenseUnitary matrix is a read-only complex array, so
+    no parameter can change after the checks.
     """
 
     kind: str
     targets: tuple
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
     controls: tuple = ()
     layer_tag: str | None = None
 
     def __post_init__(self):
         if self.kind not in _SIGNATURES:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        self.targets = tuple(self.targets)
-        self.controls = tuple((w, int(v)) for w, v in self.controls)
+        object.__setattr__(self, "targets", tuple(self.targets))
+        object.__setattr__(self, "controls", tuple((w, int(v)) for w, v in self.controls))
+        params = dict(self.params)
+        if self.kind == "DenseUnitary" and "matrix" in params:
+            matrix = np.array(params["matrix"], dtype=np.complex128)
+            matrix.setflags(write=False)
+            params["matrix"] = matrix
+        object.__setattr__(self, "params", MappingProxyType(params))
         if len(self.controls) > 2:
             raise ValueError("at most two controls are supported")
         if len(set(self.targets)) != len(self.targets):
@@ -173,7 +195,6 @@ class GateOp:
         counts, names = _SIGNATURES[self.kind]
         if counts is not None and len(self.targets) not in counts:
             raise ValueError(f"{self.kind} takes {' or '.join(map(str, counts))} target(s), got {len(self.targets)}")
-        params = self.params
         missing = sorted(name for name in names if name not in params)
         if missing:
             raise ValueError(f"{self.kind} is missing parameter(s) {', '.join(missing)}")
@@ -182,7 +203,7 @@ class GateOp:
         if self.kind == "PhaseK" and params["den"] <= 0:
             raise ValueError("PhaseK denominator must be positive")
         if self.kind == "DenseUnitary":
-            matrix = np.asarray(params["matrix"], dtype=np.complex128)
+            matrix = params["matrix"]
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
                 raise ValueError(f"DenseUnitary matrix must be square, got shape {matrix.shape}")
             if not np.allclose(matrix.conj().T @ matrix, np.eye(matrix.shape[0]), atol=ATOL_UNITARY):
@@ -206,8 +227,7 @@ class GateOp:
             params = dict(self.params)
             params["num"] = -params["num"]
             return GateOp("PhaseK", self.targets, params, self.controls)
-        matrix = np.asarray(self.params["matrix"])
-        return GateOp("DenseUnitary", self.targets, {"matrix": matrix.conj().T}, self.controls)
+        return GateOp("DenseUnitary", self.targets, {"matrix": self.params["matrix"].conj().T}, self.controls)
 
 
 def xd(wire, controls=(), layer_tag=None) -> GateOp:
@@ -262,7 +282,7 @@ def phase_k(targets, num: int, den: int, offset: int = 0, level: int | None = No
 def dense_unitary(targets, matrix, controls=(), layer_tag=None) -> GateOp:
     """Explicit unitary block over the target wires; GateOp checks unitarity."""
     targets = tuple(targets) if isinstance(targets, (tuple, list)) else (targets,)
-    return GateOp("DenseUnitary", targets, {"matrix": np.asarray(matrix, dtype=np.complex128)}, controls, layer_tag)
+    return GateOp("DenseUnitary", targets, {"matrix": matrix}, controls, layer_tag)
 
 
 def _charge_values(dim: int, level: int | None) -> np.ndarray:
@@ -271,7 +291,7 @@ def _charge_values(dim: int, level: int | None) -> np.ndarray:
     return (np.arange(dim) == level).astype(float)
 
 
-def _phases(params: dict, dims: Sequence[int]) -> np.ndarray:
+def _phases(params: Mapping, dims: Sequence[int]) -> np.ndarray:
     """PhaseK phase of each target digit tuple, one array axis per target."""
     num, den, offset = params["num"], params["den"], params["offset"]
     q = _charge_values(dims[-1], params["level"]) - offset
@@ -349,7 +369,7 @@ def _matrix(op: GateOp, dims: Sequence[int]) -> np.ndarray:
     if kind == "PhaseK":
         return np.diag(_phases(op.params, dims).reshape(-1, order="F"))
     if kind == "DenseUnitary":
-        return np.asarray(op.params["matrix"], dtype=np.complex128)
+        return op.params["matrix"]
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
@@ -559,10 +579,44 @@ class Circuit:
             self.accept_rule = (wires, digits)
 
     def run(self, initial_digits: Sequence[int] | None = None) -> StateVector:
-        """Simulate from |0...0> (or the given digits) through every op."""
+        """Simulate from |0...0> (or the given digits) through every op.
+
+        Wires that no op has joined yet are simulated apart, as described
+        in the module docstring; the result is the full-register state.
+        """
+        reg = self.register
         if initial_digits is None:
-            initial_digits = (0,) * len(self.register)
-        state = new_basis_state(self.register, initial_digits)
+            initial_digits = (0,) * len(reg)
+        reg.flat_index(initial_digits)  # rejects a wrong digit count or a digit out of range
+        groups: list[StateVector | None] = [
+            new_basis_state(QuditRegister(((wire, dim),)), (digit,))
+            for wire, dim, digit in zip(reg.ids, reg.dims, initial_digits)
+        ]
+        owner = dict(zip(reg.ids, range(len(reg))))  # wire -> index of its group
         for op in self.ops:
-            state = apply_gate(state, op)
-        return state
+            try:
+                slots = {owner[w] for w in op.wires()}
+            except KeyError as missing:
+                raise ValueError(f"wire {missing.args[0]!r} not in register") from None
+            slot = min(slots)
+            if len(slots) > 1:
+                parts = sorted(slots)
+                groups[slot] = _product([groups[i] for i in parts])
+                for i in parts[1:]:
+                    groups[i] = None
+                for wire in groups[slot].register.ids:
+                    owner[wire] = slot
+            groups[slot] = apply_gate(groups[slot], op)
+        state = _product([group for group in groups if group is not None])
+        axes = [state.register.position(w) for w in reg.ids]
+        amplitudes = state.tensor().transpose(axes).reshape(-1, order="F")
+        return StateVector(reg, amplitudes)
+
+
+def _product(states: list[StateVector]) -> StateVector:
+    """Tensor product of states on disjoint wires; the first state's wires are least significant."""
+    wires = [pair for state in states for pair in zip(state.register.ids, state.register.dims)]
+    amplitudes = states[0].amplitudes
+    for state in states[1:]:
+        amplitudes = np.multiply.outer(state.amplitudes, amplitudes).reshape(-1)
+    return StateVector(QuditRegister(wires), amplitudes)

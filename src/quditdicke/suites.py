@@ -353,12 +353,10 @@ def criterion_sampling(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES, shots: int 
     for name, circuit, oracle, exact in cases:
         first = run_postselected(circuit, oracle, shots=shots, seed=seed)
         again = run_postselected(circuit, oracle, shots=shots, seed=seed)
-        note = [s for s in first.notes if s.startswith("sampled acceptance frequency")]
-        note_again = [s for s in again.notes if s.startswith("sampled acceptance frequency")]
-        if note != note_again:
+        frequency = first.sampled_frequency
+        if frequency != again.sampled_frequency:
             failures.append(f"{name}: rerun with the same seed differs")
             continue
-        frequency = float(note[0].split()[3])
         sigma = math.sqrt(exact * (1.0 - exact) / shots)
         if abs(frequency - exact) > 5.0 * sigma:
             failures.append(f"{name}: frequency {frequency!r} vs exact {exact!r} (sigma {sigma!r})")

@@ -416,6 +416,18 @@ def test_impossible_acceptance_report_is_strict_json():
     assert RunReport.from_json(text) == report
 
 
+def test_sampled_frequency_is_a_report_field():
+    from quditdicke.report import RunReport
+
+    spec = DickeSpecSpinS(2, 2, 2)
+    circuit = build_hadamard_test_spin_s(spec)
+    report = run_postselected(circuit, spin_s_dicke(spec), shots=500, seed=3)
+    note = [s for s in report.notes if s.startswith("sampled acceptance frequency")]
+    assert report.sampled_frequency == float(note[0].split()[3])
+    assert RunReport.from_json(report.to_json()).sampled_frequency == report.sampled_frequency
+    assert run_postselected(circuit, spin_s_dicke(spec)).sampled_frequency is None
+
+
 def test_exported_qpe_circuit_simulates_identically():
     # the exchange format preserves the full pipeline, Fourier block included
     from quditdicke.serialize import circuit_from_json, circuit_to_json

@@ -146,6 +146,23 @@ def test_sequential_spin_s_via_duality():
         assert circuit.accept_rule[1] == (twice_s * n - k,)
 
 
+def test_sequential_spin_s_via_duality_checks_every_op(monkeypatch):
+    import quditdicke.sequential as sequential
+
+    made = []
+
+    class RecordingCircuit(Circuit):
+        def __post_init__(self):
+            made.append(list(self.ops))
+            super().__post_init__()
+
+    monkeypatch.setattr(sequential, "Circuit", RecordingCircuit)
+    circuit = build_sequential_spin_s(DickeSpecSpinS(3, 2, 5), via_duality=True)
+    # the conjugating swaps went through the construction-time checks with the rest
+    assert made[-1] == circuit.ops
+    assert [op.kind for op in circuit.ops[-3:]] == ["Xswap"] * 3
+
+
 def test_sequential_spin_s_duality_grid_agrees_with_direct():
     # both code paths stay available and produce the same system state
     for twice_s in (1, 2):

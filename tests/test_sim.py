@@ -1,5 +1,6 @@
 """Unit and property tests for the statevector engine."""
 
+import dataclasses
 import io
 import math
 
@@ -232,33 +233,44 @@ def test_apply_gate_matches_naive_oracle():
             assert np.allclose(fast.amplitudes, slow.amplitudes, atol=1e-10), op.kind
 
 
+def _draw_arity(draw, kind):
+    return 2 if kind in ("Sum", "SumDag") else draw(st.integers(1, 2)) if kind in ("PhaseK", "DenseUnitary") else 1
+
+
+def _draw_op(draw, kind, arity, dims, ids):
+    """(op, seed): an op of ``kind`` with ``arity`` targets and 0 to 2 controls; wire ids[p] has dimension dims[p]."""
+    wires = draw(st.permutations(range(len(dims))))
+    targets = tuple(wires[:arity])
+    free = wires[arity:]
+    controls = tuple((ids[w], draw(st.integers(0, dims[w] - 1))) for w in free[: draw(st.integers(0, min(2, len(free))))])
+    d = dims[targets[0]]
+    seed = draw(st.integers(0, 2**32 - 1))
+    on = tuple(ids[t] for t in targets)
+    if kind == "Xswap":
+        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        op = xswap(on[0], i, j, controls)
+    elif kind == "Rot":
+        op = rot(on[0], draw(st.integers(0, d - 2)), draw(st.floats(-2 * np.pi, 2 * np.pi)), controls)
+    elif kind == "PhaseK":
+        level = draw(st.none() | st.integers(0, dims[targets[-1]] - 1))
+        num, den, offset = draw(st.integers(-3, 3)), draw(st.integers(1, 8)), draw(st.integers(0, 3))
+        op = phase_k(on, num, den, offset, level, controls)
+    elif kind == "DenseUnitary":
+        rng, full = np.random.default_rng(seed), math.prod(dims[t] for t in targets)
+        unitary = scipy.linalg.qr(rng.normal(size=(full, full)) + 1j * rng.normal(size=(full, full)))[0]
+        op = dense_unitary(on, unitary, controls)
+    else:
+        op = {"Xd": xd, "XdDag": xd_dag, "Hd": hd, "HdDag": hd_dag, "Sum": sum_, "SumDag": sum_dag}[kind](*on, controls)
+    return op, seed
+
+
 @st.composite
 def gate_cases(draw):
     """(register dims, op, seed): any gate kind on 1 to 4 mixed-dimension wires, 0 to 2 controls."""
     kind = draw(st.sampled_from(GATE_KINDS))
-    arity = 2 if kind in ("Sum", "SumDag") else draw(st.integers(1, 2)) if kind in ("PhaseK", "DenseUnitary") else 1
+    arity = _draw_arity(draw, kind)
     dims = draw(st.lists(st.integers(2, 4), min_size=arity, max_size=4))
-    wires = draw(st.permutations(range(len(dims))))
-    targets = tuple(wires[:arity])
-    free = wires[arity:]
-    controls = tuple((w, draw(st.integers(0, dims[w] - 1))) for w in free[: draw(st.integers(0, min(2, len(free))))])
-    d = dims[targets[0]]
-    seed = draw(st.integers(0, 2**32 - 1))
-    if kind == "Xswap":
-        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
-        op = xswap(targets[0], i, j, controls)
-    elif kind == "Rot":
-        op = rot(targets[0], draw(st.integers(0, d - 2)), draw(st.floats(-2 * np.pi, 2 * np.pi)), controls)
-    elif kind == "PhaseK":
-        level = draw(st.none() | st.integers(0, dims[targets[-1]] - 1))
-        num, den, offset = draw(st.integers(-3, 3)), draw(st.integers(1, 8)), draw(st.integers(0, 3))
-        op = phase_k(targets, num, den, offset, level, controls)
-    elif kind == "DenseUnitary":
-        rng, full = np.random.default_rng(seed), math.prod(dims[t] for t in targets)
-        unitary = scipy.linalg.qr(rng.normal(size=(full, full)) + 1j * rng.normal(size=(full, full)))[0]
-        op = dense_unitary(targets, unitary, controls)
-    else:
-        op = {"Xd": xd, "XdDag": xd_dag, "Hd": hd, "HdDag": hd_dag, "Sum": sum_, "SumDag": sum_dag}[kind](*targets, controls)
+    op, seed = _draw_op(draw, kind, arity, dims, range(len(dims)))
     return dims, op, seed
 
 
@@ -294,6 +306,59 @@ def dense_apply(state, op):
     block = gate_matrix(op, tdims) @ sub.reshape((math.prod(tdims), -1), order="F")
     sub[...] = block.reshape(sub.shape, order="F")
     return StateVector(reg, out)
+
+
+@st.composite
+def circuit_cases(draw):
+    """(register, ops, initial digits): 1 to 6 ops of the gate_cases() kinds on 2 to 5 mixed-dimension
+    wires, whose integer ids are a shuffle of their positions; the ops use a random subset of the wires."""
+    dims = draw(st.lists(st.integers(2, 4), min_size=2, max_size=5))
+    ids = draw(st.permutations(range(len(dims))))
+    used = draw(st.lists(st.sampled_from(range(len(dims))), min_size=2, max_size=len(dims), unique=True))
+    ops = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(GATE_KINDS))
+        op, _ = _draw_op(draw, kind, _draw_arity(draw, kind), [dims[p] for p in used], [ids[p] for p in used])
+        ops.append(op)
+    digits = tuple(draw(st.integers(0, d - 1)) for d in dims)
+    return QuditRegister(zip(ids, dims)), ops, digits
+
+
+# the groups end in an order other than the register's, so the final transpose matters
+@example((QuditRegister.of_dims([3, 2, 4]), [sum_(2, 0)], (1, 1, 2)))
+@example((QuditRegister.of_dims([3, 2, 4]), [hd(0), sum_(2, 0), rot(1, 0, 0.3)], (0, 1, 3)))
+@example((QuditRegister([("c", 2), ("a", 3), ("b", 2)]), [hd("b"), sum_("a", "b", controls=(("c", 1),))], (1, 2, 0)))
+@example((QuditRegister.of_dims([2, 3, 2, 4]), [hd(3), dense_unitary((2, 0), np.kron(gate_matrix(hd(0), (2,)), np.eye(2)))], (0, 2, 0, 1)))
+@settings(deadline=None, max_examples=300)
+@given(circuit_cases())
+def test_circuit_run_matches_gate_by_gate_replay(case):
+    register, ops, digits = case
+    circuit = Circuit(register, ops)
+    replay = new_basis_state(register, digits)
+    for op in ops:
+        replay = apply_gate(replay, op)
+    state = circuit.run(digits)
+    assert state.register is register
+    assert np.allclose(state.amplitudes, replay.amplitudes, rtol=0, atol=1e-12)
+    assert circuit.run(digits).amplitudes.tobytes() == state.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize(
+    "digits, message",
+    [((0, 0), "digit count does not match register"), ((0, 2, 0), "digit 2 out of range for dimension 2")],
+    ids=["too-few-digits", "digit-out-of-range"],
+)
+def test_circuit_run_rejects_bad_initial_digits(digits, message):
+    circuit = Circuit(QuditRegister.of_dims([3, 2, 2]), [xd(0)])
+    with pytest.raises(ValueError, match=message):
+        circuit.run(digits)
+
+
+def test_circuit_run_rejects_op_outside_register():
+    circuit = Circuit(QuditRegister.of_dims([3, 2]), [xd(0)])
+    circuit.ops.append(sum_(1, 7))  # appended after the construction-time checks
+    with pytest.raises(ValueError, match="wire 7 not in register"):
+        circuit.run()
 
 
 _SEQUENTIAL = {"spin-s": build_sequential_spin_s, "sud": build_sequential_sud}
@@ -473,6 +538,25 @@ def test_apply_gate_rejects_op_that_does_not_fit_register(dims, op):
     state = new_basis_state(QuditRegister.of_dims(dims), (0,))
     with pytest.raises(ValueError):
         apply_gate(state, op)
+
+
+def test_gate_op_is_immutable():
+    op = phase_k(0, 1, 3)
+    Circuit(QuditRegister.of_dims([3]), [op])
+    with pytest.raises(TypeError):
+        op.params["den"] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.targets = (1,)
+    params = {"m": 0, "theta": 0.5}
+    op = GateOp("Rot", (0,), params)
+    params["m"] = 7
+    assert op.params["m"] == 0
+    matrix = np.eye(2, dtype=np.complex128)
+    op = dense_unitary(0, matrix)
+    matrix[0, 0] = 5.0
+    assert op.params["matrix"][0, 0] == 1.0
+    with pytest.raises(ValueError):
+        op.params["matrix"][0, 0] = 5.0
 
 
 def test_circuit_rejects_non_unitary_dense_block():
