@@ -45,10 +45,11 @@ def _parse_vector(text: str, cast, what: str) -> tuple:
 
 
 def _default_seed(args) -> int | None:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("DICKE_SEED")
-    return int(env) if env else None
+    """``--seed``, else a nonempty ``DICKE_SEED``, else None."""
+    seed = args.seed if args.seed is not None else os.environ.get("DICKE_SEED") or None
+    if seed is not None and not str(seed).isdecimal():
+        raise ValueError(f"--seed and DICKE_SEED take a nonnegative integer, got {seed!r}")
+    return None if seed is None else int(seed)
 
 
 def _spec_from_args(args):
@@ -124,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--param", required=True, choices=("p", "n"))
     sweep.add_argument("--points", type=int, default=101, help="grid points for --param p")
     sweep.add_argument("--n-max", type=int, help="upper end for --param n (lower end is --n)")
-    sweep.add_argument("--seed", type=int)
     sweep.add_argument("--out")
     sweep.add_argument("--max-amplitudes", type=int, default=DEFAULT_MAX_AMPLITUDES)
 
@@ -153,10 +153,10 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_prepare(args) -> int:
     if args.shots < 0:
         raise ValueError(f"--shots must be >= 0, got {args.shots}")
+    seed = _default_seed(args)
     spec, circuit = _spec_and_circuit(args)
     _cap_check(circuit, args.max_amplitudes)
     oracle = _oracle(spec)
-    seed = _default_seed(args)
     if args.method == "sequential":
         report = verify_sequential(circuit, oracle)
     else:

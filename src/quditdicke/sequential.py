@@ -108,7 +108,7 @@ def build_sequential_spin_s(spec: DickeSpecSpinS, via_duality: bool = False) -> 
     """
     if via_duality:
         mirror = build_sequential_spin_s(DickeSpecSpinS(spec.n, spec.twice_s, spec.max_charge - spec.k))
-        ops = mirror.ops + [
+        ops = list(mirror.ops) + [
             xswap(f"s{j}", m, spec.twice_s - m) for j in range(1, spec.n + 1) for m in range((spec.twice_s + 1) // 2)
         ]
         notes = list(mirror.meta.get("notes", ())) + ["prepared via charge conjugation of the mirror target"]

@@ -11,17 +11,17 @@ two-slice update for Rot, in-place slice scaling for PhaseK, and a dense
 block matrix product for Hd, HdDag and DenseUnitary.  Results are
 deterministic for a fixed input.
 
-``Circuit.run`` keeps the state factorized: a list of groups, each a
-StateVector on the sub-register of the wires it holds, with every wire in
-its own one-wire group at its initial digit.  Before an op acts, the groups
-holding its targets and controls are merged by an outer product (the first
-group's wires least significant), and ``apply_gate`` then acts on the
-merged group alone.  A wire that no op has yet joined to the others costs
-d amplitudes, so the one-wire preparation cascades that open the
+``Circuit.run`` keeps the state factorized: each wire maps to the
+StateVector of the group that holds it, and every group lists its wires
+in register order.  Every wire starts in its own one-wire group at its
+initial digit.  Before an op acts, the distinct groups of its wires are
+merged into one new array by broadcast multiplies, and ``apply_gate`` acts
+on the merged group alone.  A wire that no op has yet joined to the others
+costs d amplitudes, so the one-wire preparation cascades that open the
 probabilistic circuits, and the sites of a sequential circuit before the
-bond ancilla reaches them, never touch the full register.  At the end the
-groups are multiplied into one vector and transposed into the register's
-wire order, so ``run`` still returns the full dense register state.
+bond ancilla reaches them, never touch the full register.  The same
+product joins the last groups into the full register state that ``run``
+returns, with no transpose.
 """
 
 from __future__ import annotations
@@ -547,7 +547,7 @@ def sample_measure(state: StateVector, wires: Sequence, seed: int) -> tuple[tupl
     return digits, collapsed
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Circuit:
     """Ordered gate list over a register, with an optional acceptance rule.
 
@@ -555,16 +555,17 @@ class Circuit:
     pattern; deterministic builders use it to record the expected final
     ancilla digits.  ``meta`` carries builder bookkeeping (family, method,
     system size n, optimal parameter) and is not part of the exchange
-    format; builders put the n system wires first in the register.
+    format; builders put the n system wires first in the register.  The
+    circuit is frozen with ``ops`` a tuple, so every op passed its checks.
     """
 
     register: QuditRegister
-    ops: list[GateOp]
+    ops: tuple[GateOp, ...]
     accept_rule: tuple[tuple, tuple] | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.ops = list(self.ops)
+        object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
             _validate_on(op, self.register)
         if self.accept_rule is not None:
@@ -576,47 +577,44 @@ class Circuit:
             for w, v in zip(wires, digits):
                 if not 0 <= v < self.register.dim(w):
                     raise ValueError(f"accept_rule digit {v} out of range for wire {w!r}")
-            self.accept_rule = (wires, digits)
+            object.__setattr__(self, "accept_rule", (wires, digits))
 
     def run(self, initial_digits: Sequence[int] | None = None) -> StateVector:
         """Simulate from |0...0> (or the given digits) through every op.
 
-        Wires that no op has joined yet are simulated apart, as described
-        in the module docstring; the result is the full-register state.
+        Wires that no op has joined yet are simulated apart in groups kept
+        in register order (module docstring); the result is the full state.
         """
         reg = self.register
         if initial_digits is None:
             initial_digits = (0,) * len(reg)
         reg.flat_index(initial_digits)  # rejects a wrong digit count or a digit out of range
-        groups: list[StateVector | None] = [
-            new_basis_state(QuditRegister(((wire, dim),)), (digit,))
+        group_of = {
+            wire: new_basis_state(QuditRegister(((wire, dim),)), (digit,))
             for wire, dim, digit in zip(reg.ids, reg.dims, initial_digits)
-        ]
-        owner = dict(zip(reg.ids, range(len(reg))))  # wire -> index of its group
+        }
         for op in self.ops:
-            try:
-                slots = {owner[w] for w in op.wires()}
-            except KeyError as missing:
-                raise ValueError(f"wire {missing.args[0]!r} not in register") from None
-            slot = min(slots)
-            if len(slots) > 1:
-                parts = sorted(slots)
-                groups[slot] = _product([groups[i] for i in parts])
-                for i in parts[1:]:
-                    groups[i] = None
-                for wire in groups[slot].register.ids:
-                    owner[wire] = slot
-            groups[slot] = apply_gate(groups[slot], op)
-        state = _product([group for group in groups if group is not None])
-        axes = [state.register.position(w) for w in reg.ids]
-        amplitudes = state.tensor().transpose(axes).reshape(-1, order="F")
-        return StateVector(reg, amplitudes)
+            group = _product(list(dict.fromkeys([group_of[w] for w in op.wires()])), reg)
+            if group is not group_of[op.targets[0]]:  # merged: map its wires now, which frees the parts
+                group_of.update(dict.fromkeys(group.register.ids, group))
+            group = apply_gate(group, op)
+            group_of.update(dict.fromkeys(group.register.ids, group))
+        return StateVector(reg, _product(list(dict.fromkeys(group_of.values())), reg).amplitudes)
 
 
-def _product(states: list[StateVector]) -> StateVector:
-    """Tensor product of states on disjoint wires; the first state's wires are least significant."""
-    wires = [pair for state in states for pair in zip(state.register.ids, state.register.dims)]
-    amplitudes = states[0].amplitudes
-    for state in states[1:]:
-        amplitudes = np.multiply.outer(state.amplitudes, amplitudes).reshape(-1)
-    return StateVector(QuditRegister(wires), amplitudes)
+def _product(states: list[StateVector], register: QuditRegister) -> StateVector:
+    """Tensor product of states on disjoint wires of ``register``, its wires in register order.
+
+    Each state lists its wires in register order, so it broadcasts against
+    the product with a length-1 axis at every wire it lacks.
+    """
+    if len(states) == 1:
+        return states[0]
+    held = {w for s in states for w in s.register.ids}
+    wires = [(w, d) for w, d in zip(register.ids, register.dims) if w in held]
+    factors = [s.amplitudes.reshape([d if w in s.register.ids else 1 for w, d in wires], order="F") for s in states]
+    out = np.empty([d for _, d in wires], dtype=np.complex128, order="F")
+    np.multiply(factors[0], factors[1], out=out)
+    for factor in factors[2:]:
+        out *= factor
+    return StateVector(QuditRegister(wires), out.reshape(-1, order="F"))

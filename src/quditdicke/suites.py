@@ -79,7 +79,6 @@ class CriterionResult:
 @dataclass(frozen=True)
 class Criterion:
     ident: str
-    description: str
     run: Callable[..., CriterionResult]
 
 
@@ -364,15 +363,15 @@ def criterion_sampling(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES, shots: int 
 
 
 ALL_CRITERIA = (
-    Criterion("criterion-1", "sequential spin-s exactness", criterion_sequential_spin_s),
-    Criterion("criterion-2", "sequential multilevel exactness", criterion_sequential_sud),
-    Criterion("criterion-3", "probabilistic acceptance probabilities", criterion_qpe_probabilities),
-    Criterion("criterion-4", "boost-parameter optimality", criterion_parameter_optimality),
-    Criterion("criterion-5", "level-set label proposition", criterion_level_set_proposition),
-    Criterion("criterion-6", "duality and charge invariants", criterion_duality_and_charge),
-    Criterion("criterion-7", "canonical bond-tensor checks", criterion_mps_canonical),
-    Criterion("criterion-8", "resource scaling", criterion_resource_scaling),
-    Criterion("criterion-9", "sampling consistency", criterion_sampling),
+    Criterion("criterion-1", criterion_sequential_spin_s),
+    Criterion("criterion-2", criterion_sequential_sud),
+    Criterion("criterion-3", criterion_qpe_probabilities),
+    Criterion("criterion-4", criterion_parameter_optimality),
+    Criterion("criterion-5", criterion_level_set_proposition),
+    Criterion("criterion-6", criterion_duality_and_charge),
+    Criterion("criterion-7", criterion_mps_canonical),
+    Criterion("criterion-8", criterion_resource_scaling),
+    Criterion("criterion-9", criterion_sampling),
 )
 
 

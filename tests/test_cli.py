@@ -72,6 +72,26 @@ def test_prepare_rejects_negative_shots(capsys, monkeypatch):
     assert "--shots must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, env, message",
+    [
+        (["--seed", "-1"], None, "--seed and DICKE_SEED take a nonnegative integer, got -1"),
+        ([], "-5", "--seed and DICKE_SEED take a nonnegative integer, got '-5'"),
+        ([], "1.5", "--seed and DICKE_SEED take a nonnegative integer, got '1.5'"),
+    ],
+    ids=["flag", "env-negative", "env-fraction"],
+)
+def test_prepare_rejects_bad_seed_before_building(flags, env, message, capsys, monkeypatch):
+    from quditdicke import cli
+
+    monkeypatch.setitem(cli._SPIN_BUILDERS, "hadamard", lambda spec, p: pytest.fail("built a circuit"))
+    if env is not None:
+        monkeypatch.setenv("DICKE_SEED", env)
+    code = run_cli(["prepare", "--family", "spin-s", "--n", "2", "--s", "1", "--k", "1", "--method", "hadamard", *flags])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_sweep_rejects_empty_grid(points, capsys):
     code = run_cli(

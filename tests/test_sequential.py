@@ -117,7 +117,7 @@ def test_sequential_spin_s_small_cases():
 
 def test_sequential_spin_s_edges():
     empty = build_sequential_spin_s(DickeSpecSpinS(3, 1, 0))
-    assert empty.ops == []
+    assert empty.ops == ()
     spec = DickeSpecSpinS(3, 1, 3)
     top = build_sequential_spin_s(spec)
     report = verify_sequential(top, spin_s_dicke(spec))
@@ -159,7 +159,7 @@ def test_sequential_spin_s_via_duality_checks_every_op(monkeypatch):
     monkeypatch.setattr(sequential, "Circuit", RecordingCircuit)
     circuit = build_sequential_spin_s(DickeSpecSpinS(3, 2, 5), via_duality=True)
     # the conjugating swaps went through the construction-time checks with the rest
-    assert made[-1] == circuit.ops
+    assert tuple(made[-1]) == circuit.ops
     assert [op.kind for op in circuit.ops[-3:]] == ["Xswap"] * 3
 
 
@@ -289,7 +289,7 @@ def test_sequential_sud_flag_stays_clean_throughout():
 
 def test_sequential_sud_trivial_targets():
     zeros = build_sequential_sud(DickeSpecSUD(3, (3, 0, 0)))
-    assert zeros.ops == []
+    assert zeros.ops == ()
     spec = DickeSpecSUD(3, (0, 0, 3))
     circuit = build_sequential_sud(spec)
     assert len(circuit.ops) == 3

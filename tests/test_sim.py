@@ -354,11 +354,14 @@ def test_circuit_run_rejects_bad_initial_digits(digits, message):
         circuit.run(digits)
 
 
-def test_circuit_run_rejects_op_outside_register():
-    circuit = Circuit(QuditRegister.of_dims([3, 2]), [xd(0)])
-    circuit.ops.append(sum_(1, 7))  # appended after the construction-time checks
-    with pytest.raises(ValueError, match="wire 7 not in register"):
-        circuit.run()
+def test_circuit_ops_cannot_change_after_the_checks():
+    first = xd(0)
+    circuit = Circuit(QuditRegister.of_dims([3, 2]), [first])
+    with pytest.raises(AttributeError):
+        circuit.ops.append(sum_(1, 7))  # the ops are a tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        circuit.ops = [first, sum_(1, 7)]
+    assert circuit.ops == (first,)
 
 
 _SEQUENTIAL = {"spin-s": build_sequential_spin_s, "sud": build_sequential_sud}
@@ -375,6 +378,27 @@ def test_circuit_run_matches_dense_path(family, method):
         fast, dense = apply_gate(fast, op), dense_apply(dense, op)
         assert np.allclose(fast.amplitudes, dense.amplitudes, rtol=0, atol=1e-12), op.kind
     assert np.allclose(circuit.run().amplitudes, dense.amplitudes, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["spin-s", "sud"])
+@pytest.mark.parametrize("method", ["sequential", "qpe-log", "hadamard", "fanout"])
+def test_circuit_run_keeps_every_group_in_register_order(family, method, monkeypatch):
+    import quditdicke.sim as sim
+
+    builder = _SEQUENTIAL[family] if method == "sequential" else BUILDERS[family][method]
+    circuit = builder(_SMALL_SPECS[family])
+    position = {wire: p for p, wire in enumerate(circuit.register.ids)}
+    seen = []
+
+    def recording_apply_gate(state, op):
+        seen.append([position[wire] for wire in state.register.ids])
+        return apply_gate(state, op)
+
+    monkeypatch.setattr(sim, "apply_gate", recording_apply_gate)
+    circuit.run()
+    assert len(seen) == len(circuit.ops)
+    for positions in seen:
+        assert positions == sorted(positions)
 
 
 def test_norm_preservation_and_unitarity_every_kind():
