@@ -239,6 +239,8 @@ def cli_main(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "max_amplitudes", 1) < 1:
+            raise ValueError(f"--max-amplitudes must be >= 1, got {args.max_amplitudes}")
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,13 +2,14 @@
 
 Flat amplitude indices use a mixed-radix encoding in which the first wire
 of the register is the least-significant digit, so an index reads like the
-ket string written right to left.  All operations here are pure: they
-return new states and never mutate their inputs, which makes states safe
-to share across threads.  ``apply_gate`` copies the input once and then
-updates only the controlled subspace with a kernel chosen by gate kind:
-slice copies for the permutations (Xd, XdDag, Xswap, Sum, SumDag), a
-two-slice update for Rot, in-place slice scaling for PhaseK, and a dense
-block matrix product for Hd, HdDag and DenseUnitary.  Results are
+ket string written right to left.  The public operations are pure: they
+return new states and never mutate their inputs.  Each gate kernel acts
+in place on one view, the controlled subspace, chosen by gate kind: slice
+moves for the permutations (Xd, XdDag, Xswap, Sum, SumDag), a two-slice
+update for Rot, slice scaling for PhaseK, and a dense block matrix
+product for Hd, HdDag and DenseUnitary.  ``apply_gate`` runs the kernel
+on a copy of the input, or on the input itself when ``in_place`` is set,
+which only ``Circuit.run`` does, on the groups it made.  Results are
 deterministic for a fixed input.
 
 ``Circuit.run`` keeps the state factorized: each wire maps to the
@@ -16,12 +17,12 @@ StateVector of the group that holds it, and every group lists its wires
 in register order.  Every wire starts in its own one-wire group at its
 initial digit.  Before an op acts, the distinct groups of its wires are
 merged into one new array by broadcast multiplies, and ``apply_gate`` acts
-on the merged group alone.  A wire that no op has yet joined to the others
-costs d amplitudes, so the one-wire preparation cascades that open the
-probabilistic circuits, and the sites of a sequential circuit before the
-bond ancilla reaches them, never touch the full register.  The same
-product joins the last groups into the full register state that ``run``
-returns, with no transpose.
+in place on the merged group alone.  A wire that no op has yet joined to
+the others costs d amplitudes, so the one-wire preparation cascades that
+open the probabilistic circuits, and the sites of a sequential circuit
+before the bond ancilla reaches them, never touch the full register.
+The same product joins the last groups into the full register state that
+``run`` returns, with no transpose.
 """
 
 from __future__ import annotations
@@ -381,57 +382,63 @@ def _validate_on(op: GateOp, register: QuditRegister) -> None:
     _check_dims(op, [register.dim(w) for w in op.targets])
 
 
-def _shift_kernel(op, tdims, src, dst):
-    d = tdims[0]
-    shift = 1 if op.kind == "Xd" else -1
-    for x in range(d):
-        dst[(x + shift) % d, ...] = src[x, ...]
+def _shift_kernel(op, tdims, view):
+    d, step = tdims[0], 1 if op.kind == "Xd" else -1
+    last = d - 1 if step == 1 else 0  # level x moves to x + step: hold the level that wraps, move the rest
+    held = view[last, ...].copy(order="K")
+    for x in range(last, last - step * (d - 1), -step):
+        view[x, ...] = view[x - step, ...]
+    view[(last + step) % d, ...] = held
 
 
-def _swap_kernel(op, tdims, src, dst):
+def _swap_kernel(op, tdims, view):
     i, j = op.params["i"], op.params["j"]
-    dst[i, ...] = src[j, ...]
-    dst[j, ...] = src[i, ...]
+    held = view[i, ...].copy(order="K")
+    view[i, ...] = view[j, ...]
+    view[j, ...] = held
 
 
-def _sum_kernel(op, tdims, src, dst):
+def _sum_kernel(op, tdims, view):
     da, db = tdims
     sign = 1 if op.kind == "Sum" else -1
-    # the x = 0 slices keep the values the output copied from the input
+    # the x = 0 fiber stays; every other fiber shifts cyclically by x through one held fiber
+    fiber = np.empty_like(view[:, 0, ...])
     for x in range(1, db):
+        fiber[...] = view[:, x, ...]
         for y in range(da):
-            dst[(y + sign * x) % da, x, ...] = src[y, x, ...]
+            view[(y + sign * x) % da, x, ...] = fiber[y, ...]
 
 
-def _rot_kernel(op, tdims, src, dst):
+def _rot_kernel(op, tdims, view):
     m = op.params["m"]
     theta = op.params["theta"]
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    a, b = src[m, ...], src[m + 1, ...]
-    lo, hi = dst[m, ...], dst[m + 1, ...]
-    scratch = np.empty_like(b)  # a 0-d array, not a scalar, when the view is one amplitude
-    np.multiply(b, s, out=scratch)
+    lo, hi = view[m, ...], view[m + 1, ...]
+    a = lo.copy(order="K")
+    scratch = np.empty_like(a)  # a 0-d array, not a scalar, when the view is one amplitude
+    np.multiply(hi, s, out=scratch)
     np.multiply(a, c, out=lo)
     lo -= scratch
-    np.multiply(b, c, out=scratch)
+    np.multiply(hi, c, out=scratch)
     np.multiply(a, s, out=hi)
     hi += scratch
 
 
-def _phase_kernel(op, tdims, src, dst):
+def _phase_kernel(op, tdims, view):
     phases = _phases(op.params, tdims)
     for digits in zip(*np.nonzero(phases != 1.0)):
-        level = dst[digits + (Ellipsis,)]
+        level = view[digits + (Ellipsis,)]
         level *= phases[digits]
 
 
-def _matmul_kernel(op, tdims, src, dst):
-    block = src.reshape((math.prod(tdims), -1), order="F")
-    dst[...] = (_matrix(op, tdims) @ block).reshape(dst.shape, order="F")
+def _matmul_kernel(op, tdims, view):
+    block = view.reshape((math.prod(tdims), -1), order="F")
+    view[...] = (_matrix(op, tdims) @ block).reshape(view.shape, order="F")
 
 
-# Each kernel writes the gate's action on the controlled subspace ``src``
-# (target axes first) into ``dst``, which starts as a copy of ``src``.
+# Each kernel applies the gate in place to the controlled subspace ``view``
+# (target axes first).  Each temporary it holds is at most one level slice
+# or one Sum fiber, except the reshaped block and the product of _matmul_kernel.
 _KERNELS = {
     "Xd": _shift_kernel,
     "XdDag": _shift_kernel,
@@ -446,21 +453,21 @@ _KERNELS = {
 }
 
 
-def apply_gate(state: StateVector, op: GateOp) -> StateVector:
-    """Apply one gate; identity outside the controlled subspace."""
+def apply_gate(state: StateVector, op: GateOp, *, in_place: bool = False) -> StateVector:
+    """Apply one gate; identity outside the controlled subspace.
+
+    ``in_place`` updates and returns ``state`` itself, for the owner of its amplitudes.
+    """
     reg = state.register
     _validate_on(op, reg)
     tpos = [reg.position(w) for w in op.targets]
     front = tpos + [reg.position(w) for w, _ in op.controls]
     order = front + [p for p in range(len(reg)) if p not in front]
     sel = (slice(None),) * len(tpos) + tuple(v for _, v in op.controls)
-
-    def controlled(amplitudes):
-        return amplitudes.reshape(reg.dims, order="F").transpose(order)[sel]
-
-    out = state.amplitudes.copy()
-    _KERNELS[op.kind](op, tuple(reg.dims[p] for p in tpos), controlled(state.amplitudes), controlled(out))
-    return StateVector(reg, out)
+    out = state if in_place else StateVector(reg, state.amplitudes.copy())
+    view = out.amplitudes.reshape(reg.dims, order="F").transpose(order)[sel]
+    _KERNELS[op.kind](op, tuple(reg.dims[p] for p in tpos), view)
+    return out
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -597,8 +604,7 @@ class Circuit:
             group = _product(list(dict.fromkeys([group_of[w] for w in op.wires()])), reg)
             if group is not group_of[op.targets[0]]:  # merged: map its wires now, which frees the parts
                 group_of.update(dict.fromkeys(group.register.ids, group))
-            group = apply_gate(group, op)
-            group_of.update(dict.fromkeys(group.register.ids, group))
+            apply_gate(group, op, in_place=True)
         return StateVector(reg, _product(list(dict.fromkeys(group_of.values())), reg).amplitudes)
 
 

@@ -104,6 +104,28 @@ def test_sweep_rejects_empty_grid(points, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["prepare", "--family", "spin-s", "--n", "2", "--s", "1", "--k", "1", "--method", "hadamard"],
+        ["sweep", "--family", "spin-s", "--n", "2", "--s", "0.5", "--k", "1", "--method", "hadamard", "--param", "p"],
+    ],
+    ids=["verify", "prepare", "sweep"],
+)
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_amplitude_cap_below_one_is_rejected_before_any_work(argv, cap, capsys, monkeypatch):
+    from quditdicke import cli
+
+    monkeypatch.setattr(cli, "run_all", lambda cap: pytest.fail("ran the suites"))
+    monkeypatch.setattr(cli, "_build_circuit", lambda *args: pytest.fail("built a circuit"))
+    monkeypatch.setattr(cli, "_spec_and_circuit", lambda args: pytest.fail("built a circuit"))
+    assert run_cli([*argv, "--max-amplitudes", cap]) == 2
+    captured = capsys.readouterr()
+    assert f"--max-amplitudes must be >= 1, got {cap}" in captured.err
+    assert captured.out == ""
+
+
 def test_usage_errors_exit_2():
     assert run_cli([]) == 2
     assert run_cli(["prepare", "--family", "bogus", "--n", "2"]) == 2

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,6 +295,18 @@ def test_apply_gate_matches_naive_oracle_every_kind(case):
     assert np.array_equal(state.amplitudes, before)
 
 
+@settings(deadline=None, max_examples=200)
+@given(gate_cases())
+def test_apply_gate_in_place_returns_its_input_with_the_pure_result(case):
+    dims, op, seed = case
+    state = random_state(QuditRegister.of_dims(dims), np.random.default_rng(seed))
+    before = state.amplitudes.tobytes()
+    pure = apply_gate(state, op)
+    assert state.amplitudes.tobytes() == before
+    assert apply_gate(state, op, in_place=True) is state
+    assert state.amplitudes.tobytes() == pure.amplitudes.tobytes()
+
+
 def dense_apply(state, op):
     """Block update with the full gate matrix: the simulator's plain dense path."""
     reg = state.register
@@ -390,15 +403,37 @@ def test_circuit_run_keeps_every_group_in_register_order(family, method, monkeyp
     position = {wire: p for p, wire in enumerate(circuit.register.ids)}
     seen = []
 
-    def recording_apply_gate(state, op):
+    def recording_apply_gate(state, op, **kwargs):
         seen.append([position[wire] for wire in state.register.ids])
-        return apply_gate(state, op)
+        return apply_gate(state, op, **kwargs)
 
     monkeypatch.setattr(sim, "apply_gate", recording_apply_gate)
     circuit.run()
     assert len(seen) == len(circuit.ops)
     for positions in seen:
         assert positions == sorted(positions)
+
+
+@pytest.mark.parametrize(
+    "build, spec, most",
+    [
+        (BUILDERS["spin-s"]["fanout"], DickeSpecSpinS(3, 2, 3), 3.0),
+        (build_sequential_spin_s, DickeSpecSpinS(9, 2, 9), 1.5),
+    ],
+    ids=["fanout", "sequential"],
+)
+def test_circuit_run_peak_memory_in_full_vectors(build, spec, most):
+    # every gate runs in place on the group it acts on, so no gate copies a whole group;
+    # 64 KiB covers the Python objects and the small groups that run keeps beside the vectors
+    circuit = build(spec)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        circuit.run()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= most * circuit.register.size * 16 + 2**16
 
 
 def test_norm_preservation_and_unitarity_every_kind():
