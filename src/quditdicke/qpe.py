@@ -27,10 +27,10 @@ from .sim import (
     GateOp,
     QuditRegister,
     StateVector,
+    _draw_outcomes,
     dense_unitary,
     hd,
     hd_dag,
-    outcome_distribution,
     outcome_index,
     phase_k,
     rot,
@@ -265,9 +265,7 @@ def run_postselected(circuit: Circuit, oracle_state: StateVector, shots: int = 0
             notes.append("acceptance has probability 0: reported as failure")
         if shots:
             wires, digits = circuit.accept_rule
-            dist = outcome_distribution(state, wires)
-            rng = np.random.default_rng(0 if seed is None else int(seed))
-            draws = rng.choice(dist.size, size=int(shots), p=dist / dist.sum())
+            draws = _draw_outcomes(state, wires, 0 if seed is None else int(seed), size=int(shots))
             hits = np.count_nonzero(draws == outcome_index(circuit.register, wires, digits))
             frequency = float(hits) / float(shots)
             notes.append(f"sampled acceptance frequency {frequency!r} over {shots} shots")

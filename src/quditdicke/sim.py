@@ -23,6 +23,17 @@ open the probabilistic circuits, and the sites of a sequential circuit
 before the bond ancilla reaches them, never touch the full register.
 The same product joins the last groups into the full register state that
 ``run`` returns, with no transpose.
+
+The readout reads the state once and allocates nothing register-sized
+except the collapsed state it returns.  ``outcome_distribution`` is one
+``np.einsum`` that contracts the amplitudes' float64 (re, im) parts with
+themselves onto the listed wires; ``project_on_outcome`` takes the
+probability of the selected block from one ``np.vdot`` and divides the
+block straight into the zeroed output.  ``sample_measure`` and the shot
+counts of ``qpe.run_postselected`` share one sampling path,
+``_draw_outcomes``: ``default_rng(seed).choice`` on the exact marginal.
+An empty wire list is the certain outcome, digits () with probability the
+squared norm.
 """
 
 from __future__ import annotations
@@ -105,28 +116,38 @@ class QuditRegister:
         """Mixed-radix encode; digits are listed in wire order (wire 1 first)."""
         if len(digits) != len(self.dims):
             raise ValueError("digit count does not match register")
-        index = 0
-        stride = 1
-        for digit, dim in zip(digits, self.dims):
-            if not 0 <= digit < dim:
-                raise ValueError(f"digit {digit} out of range for dimension {dim}")
-            index += digit * stride
-            stride *= dim
-        return index
+        return _flat_index(digits, self.dims)
 
     def digits_of(self, index: int) -> tuple[int, ...]:
         """Invert flat_index."""
         if not 0 <= index < self.size:
             raise ValueError(f"index {index} out of range")
-        digits = []
-        for dim in self.dims:
-            digits.append(index % dim)
-            index //= dim
-        return tuple(digits)
+        return _digits_of(index, self.dims)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{w!r}:{d}" for w, d in zip(self.ids, self.dims))
         return f"QuditRegister({inner})"
+
+
+def _flat_index(digits: Sequence[int], dims: Sequence[int]) -> int:
+    """Mixed-radix index of ``digits``, the first digit least significant."""
+    index = 0
+    stride = 1
+    for digit, dim in zip(digits, dims):
+        if not 0 <= digit < dim:
+            raise ValueError(f"digit {digit} out of range for dimension {dim}")
+        index += digit * stride
+        stride *= dim
+    return index
+
+
+def _digits_of(index: int, dims: Sequence[int]) -> tuple[int, ...]:
+    """Invert _flat_index for an index below prod(dims)."""
+    digits = []
+    for dim in dims:
+        digits.append(index % dim)
+        index //= dim
+    return tuple(digits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,7 +504,8 @@ def project_on_outcome(state: StateVector, wires: Sequence, digits: Sequence[int
     Returns (probability, conditional state).  The conditional state keeps
     the full register shape with the measured wires pinned to ``digits``.
     A zero-probability outcome raises ImpossibleOutcomeError rather than
-    producing a NaN state.
+    producing a NaN state.  With no wires the outcome is certain: the
+    probability is the squared norm.
     """
     reg = state.register
     wires = tuple(wires)
@@ -496,15 +518,15 @@ def project_on_outcome(state: StateVector, wires: Sequence, digits: Sequence[int
     for w, v in zip(wires, digits):
         if not 0 <= v < reg.dim(w):
             raise ValueError(f"digit {v} out of range for wire {w!r}")
-    arr = state.amplitudes.reshape(reg.dims, order="F")
-    moved = np.moveaxis(arr, pos, range(len(pos)))
-    sub = moved[digits]
-    probability = float(np.sum(np.abs(sub) ** 2))
+    order = pos + [p for p in range(len(reg)) if p not in pos]  # measured axes first
+    block = digits + (Ellipsis,)  # a 0-d view, not a scalar, when every wire is measured
+    sub = state.amplitudes.reshape(reg.dims, order="F").transpose(order)[block]
+    flat = sub.ravel(order="K")  # no copy when the block is contiguous
+    probability = float(np.vdot(flat, flat).real)
     if probability == 0.0:
         raise ImpossibleOutcomeError(f"outcome {digits} on wires {wires} is impossible")
     cond = np.zeros(reg.size, dtype=np.complex128)
-    cond_view = np.moveaxis(cond.reshape(reg.dims, order="F"), pos, range(len(pos)))
-    cond_view[digits] = sub / math.sqrt(probability)
+    np.divide(sub, math.sqrt(probability), out=cond.reshape(reg.dims, order="F").transpose(order)[block])
     return probability, StateVector(reg, cond)
 
 
@@ -512,24 +534,29 @@ def outcome_distribution(state: StateVector, wires: Sequence) -> np.ndarray:
     """Exact marginal distribution over the listed wires.
 
     The returned vector is indexed mixed-radix with the first listed wire
-    least significant, matching the register convention.
+    least significant, matching the register convention.  It is one
+    contraction of the amplitudes' float64 parts with themselves, summed
+    over (re, im) and every unlisted wire.
     """
     reg = state.register
-    wires = tuple(wires)
     pos = [reg.position(w) for w in wires]
     if len(set(pos)) != len(pos):
         raise ValueError("duplicate wires")
-    weights = np.abs(state.amplitudes.reshape(reg.dims, order="F")) ** 2
-    others = tuple(a for a in range(len(reg.dims)) if a not in set(pos))
-    marg = weights.sum(axis=others) if others else weights
-    kept = sorted(pos)
-    marg = np.transpose(marg, axes=[kept.index(p) for p in pos])
+    amps = state.amplitudes
+    if np.iscomplexobj(amps):
+        amps = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64)
+    # axis 0 holds (re, im), or only re for a real state; axis 1 + p is wire p
+    parts = np.asarray(amps, dtype=np.float64).reshape((-1,) + reg.dims, order="F")
+    axes = list(range(parts.ndim))
+    marg = np.einsum(parts, axes, parts, axes, [1 + p for p in pos])
     return np.ascontiguousarray(marg.reshape(-1, order="F"))
 
 
 def outcome_index(register: QuditRegister, wires: Sequence, digits: Sequence[int]) -> int:
     """Position of ``digits`` in the outcome_distribution over ``wires``."""
-    return QuditRegister.of_dims([register.dim(w) for w in wires]).flat_index(digits)
+    if len(wires) != len(digits):
+        raise ValueError("digit count does not match the wires")
+    return _flat_index(digits, [register.dim(w) for w in wires])
 
 
 def acceptance_probability(state: StateVector, accept_rule: tuple) -> float:
@@ -538,18 +565,25 @@ def acceptance_probability(state: StateVector, accept_rule: tuple) -> float:
     return float(outcome_distribution(state, wires)[outcome_index(state.register, wires, digits)])
 
 
+def _draw_outcomes(state: StateVector, wires: Sequence, seed: int, size: int | None = None):
+    """Outcome indices over ``wires`` drawn from the exact marginal by ``default_rng(seed)``.
+
+    One index when ``size`` is None, else an array of ``size`` indices.
+    The one sampling path of ``sample_measure`` and of shot counts.
+    """
+    probs = outcome_distribution(state, wires)
+    return np.random.default_rng(seed).choice(probs.size, size=size, p=probs / probs.sum())
+
+
 def sample_measure(state: StateVector, wires: Sequence, seed: int) -> tuple[tuple[int, ...], StateVector]:
     """Draw one outcome for the listed wires from the exact marginal.
 
     Deterministic for a fixed (state, wires, seed); the collapsed state is
     the same as project_on_outcome on the drawn digits.
     """
-    reg = state.register
     wires = tuple(wires)
-    probs = outcome_distribution(state, wires)
-    rng = np.random.default_rng(int(seed))
-    index = int(rng.choice(probs.size, p=probs / probs.sum()))
-    digits = QuditRegister.of_dims([reg.dim(w) for w in wires]).digits_of(index)
+    index = int(_draw_outcomes(state, wires, int(seed)))
+    digits = _digits_of(index, [state.register.dim(w) for w in wires])
     _, collapsed = project_on_outcome(state, wires, digits)
     return digits, collapsed
 

@@ -416,6 +416,19 @@ def test_impossible_acceptance_report_is_strict_json():
     assert RunReport.from_json(text) == report
 
 
+def test_empty_accept_rule_is_the_certain_outcome_with_and_without_shots():
+    from quditdicke.sim import Circuit
+
+    spec = DickeSpecSpinS(2, 1, 1)
+    built = build_hadamard_test_spin_s(spec)
+    circuit = Circuit(built.register, built.ops, accept_rule=((), ()), meta=built.meta)
+    exact = run_postselected(circuit, spin_s_dicke(spec))
+    sampled = run_postselected(circuit, spin_s_dicke(spec), shots=10, seed=1)
+    assert exact.acceptance_probability == pytest.approx(1.0)
+    assert sampled.acceptance_probability == exact.acceptance_probability
+    assert sampled.sampled_frequency == 1.0
+
+
 def test_sampled_frequency_is_a_report_field():
     from quditdicke.report import RunReport
 

@@ -22,6 +22,7 @@ from quditdicke.sim import (
     ImpossibleOutcomeError,
     QuditRegister,
     StateVector,
+    acceptance_probability,
     apply_gate,
     dense_unitary,
     fidelity,
@@ -532,6 +533,81 @@ def test_sample_measure_determinism_and_basis():
     first = sample_measure(state, (0,), seed=42)[0]
     again = sample_measure(state, (0,), seed=42)[0]
     assert first == again
+
+
+def naive_readout(state, wires, digits):
+    """Independent reference, index by index: (marginal over ``wires``, probability of ``digits``, conditional amplitudes)."""
+    reg = state.register
+    dims = [reg.dim(w) for w in wires]
+    pos = [reg.position(w) for w in wires]
+    marginal = np.zeros(math.prod(dims))
+    kept = np.zeros(reg.size, dtype=np.complex128)
+    for index, amp in enumerate(state.amplitudes):
+        full = reg.digits_of(index)
+        outcome = [full[p] for p in pos]
+        slot = sum(digit * math.prod(dims[:i]) for i, digit in enumerate(outcome))
+        marginal[slot] += abs(amp) ** 2
+        if outcome == list(digits):
+            kept[index] = amp
+    probability = marginal[sum(digit * math.prod(dims[:i]) for i, digit in enumerate(digits))]
+    return marginal, probability, kept / math.sqrt(probability)
+
+
+@st.composite
+def readout_cases(draw):
+    """(state, wires, digits, seed): 1 to 5 wires of dimension 2 to 5, a non-empty wire list in any order.
+
+    The amplitudes are complex128 or float64, unnormalized, and sometimes a
+    strided view of a larger array.
+    """
+    dims = draw(st.lists(st.integers(2, 5), min_size=1, max_size=5))
+    reg = QuditRegister([(f"w{p}", d) for p, d in enumerate(dims)])
+    order = draw(st.permutations(range(len(dims))))
+    wires = tuple(f"w{p}" for p in order[: draw(st.integers(1, len(dims)))])
+    digits = tuple(draw(st.integers(0, reg.dim(w) - 1)) for w in wires)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=reg.size)
+    if draw(st.booleans()):
+        amps = amps + 1j * rng.normal(size=reg.size)
+    amps *= draw(st.floats(0.5, 2.0)) / np.linalg.norm(amps)
+    if draw(st.booleans()):
+        strided = np.zeros(2 * reg.size, dtype=amps.dtype)
+        strided[::2] = amps
+        amps = strided[::2]
+    return StateVector(reg, amps), wires, digits, seed
+
+
+# every wire measured, so the projected block is 0-d; a real state; a strided one
+@example((StateVector(QuditRegister([("a", 2), ("b", 3)]), np.arange(1.0, 7.0)), ("b", "a"), (2, 1), 0))
+@example((StateVector(QuditRegister([("a", 3)]), np.array([0.6, 0.0, 0.8j])), ("a",), (2,), 1))
+@example((StateVector(QuditRegister([("a", 2), ("b", 2)]), np.arange(1.0, 9.0)[::2] + 0j), ("a",), (1,), 2))
+@settings(deadline=None, max_examples=150)
+@given(readout_cases())
+def test_readout_matches_naive_reference(case):
+    state, wires, digits, seed = case
+    before = state.amplitudes.tobytes()
+    marginal, probability, conditional = naive_readout(state, wires, digits)
+    assert np.allclose(outcome_distribution(state, wires), marginal, rtol=0, atol=1e-12)
+    projected, collapsed = project_on_outcome(state, wires, digits)
+    assert abs(projected - probability) <= 1e-12
+    assert np.allclose(collapsed.amplitudes, conditional, rtol=0, atol=1e-12)
+    drawn, sampled = sample_measure(state, wires, seed)
+    assert np.array_equal(sampled.amplitudes, project_on_outcome(state, wires, drawn)[1].amplitudes)
+    assert state.amplitudes.tobytes() == before
+
+
+def test_empty_wire_list_is_the_certain_outcome():
+    reg = QuditRegister.of_dims([2, 3])
+    state = StateVector(reg, np.arange(6) * (1 + 1j))  # unnormalized: squared norm 110
+    probability, conditional = project_on_outcome(state, (), ())
+    assert probability == pytest.approx(110.0)
+    assert np.allclose(conditional.amplitudes, state.amplitudes / math.sqrt(110.0))
+    assert outcome_distribution(state, ()) == pytest.approx([110.0])
+    assert acceptance_probability(state, ((), ())) == pytest.approx(110.0)
+    digits, collapsed = sample_measure(state, (), seed=1)
+    assert digits == ()
+    assert np.array_equal(collapsed.amplitudes, conditional.amplitudes)
 
 
 def test_sample_measure_frequency():
