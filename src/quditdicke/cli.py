@@ -5,7 +5,8 @@ Subcommands: ``prepare`` builds, simulates, and verifies one target;
 over the boost parameter p or the size n; ``levelsets`` prints the label
 structure of an occupation vector; ``export-circuit`` writes a circuit in
 the exchange format.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+2 usage error, which includes an ``--out`` path in a missing directory
+(rejected before any work) or one that cannot be written.
 """
 
 from __future__ import annotations
@@ -142,10 +143,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str | None) -> None:
+    """Reject an ``--out`` path whose directory does not exist, before any work."""
+    if out:
+        directory = os.path.dirname(os.path.abspath(out))
+        if not os.path.isdir(directory):
+            raise ValueError(f"--out directory {directory} does not exist")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w") as handle:
+                handle.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ValueError(f"could not write --out {out}: {exc.strerror or exc}") from None
     else:
         print(text)
 
@@ -241,6 +253,7 @@ def cli_main(argv) -> int:
     try:
         if getattr(args, "max_amplitudes", 1) < 1:
             raise ValueError(f"--max-amplitudes must be >= 1, got {args.max_amplitudes}")
+        _check_out(getattr(args, "out", None))
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,10 +7,17 @@ return new states and never mutate their inputs.  Each gate kernel acts
 in place on one view, the controlled subspace, chosen by gate kind: slice
 moves for the permutations (Xd, XdDag, Xswap, Sum, SumDag), a two-slice
 update for Rot, slice scaling for PhaseK, and a dense block matrix
-product for Hd, HdDag and DenseUnitary.  ``apply_gate`` runs the kernel
-on a copy of the input, or on the input itself when ``in_place`` is set,
-which only ``Circuit.run`` does, on the groups it made.  Results are
-deterministic for a fixed input.
+product for Hd, HdDag and DenseUnitary.  The PhaseK table of non-unit
+phases and the Hd/HdDag Fourier matrix come from bounded private
+``lru_cache`` memos, keyed by (num, den, offset, level, target dims) and
+by (d, sign), and are read-only; ``gate_matrix`` still returns a fresh
+array.  One placement helper, ``_place``, looks up an op's wires on a
+register once: it gives target positions, control positions and target
+dims, and rejects an op that does not fit.  It serves both the
+construction checks of ``Circuit`` and ``apply_gate``.  ``apply_gate``
+runs the kernel on a copy of the input, or on the input itself when
+``in_place`` is set, which only ``Circuit.run`` does, on the groups it
+made.  Results are deterministic for a fixed input.
 
 ``Circuit.run`` keeps the state factorized: each wire maps to the
 StateVector of the group that holds it, and every group lists its wires
@@ -38,6 +45,7 @@ squared norm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -172,7 +180,10 @@ def new_basis_state(register: QuditRegister, digits: Sequence[int]) -> StateVect
     return StateVector(register, amps)
 
 
-@dataclass(frozen=True, eq=False)
+_NO_PARAMS = MappingProxyType({})
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class GateOp:
     """One gate: a kind from GATE_KINDS, target wires, optional controls.
 
@@ -189,49 +200,60 @@ class GateOp:
 
     kind: str
     targets: tuple
-    params: Mapping = field(default_factory=dict)
-    controls: tuple = ()
-    layer_tag: str | None = None
+    params: Mapping
+    controls: tuple
+    layer_tag: str | None
 
-    def __post_init__(self):
-        if self.kind not in _SIGNATURES:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "controls", tuple((w, int(v)) for w, v in self.controls))
-        params = dict(self.params)
-        if self.kind == "DenseUnitary" and "matrix" in params:
+    def __init__(self, kind: str, targets, params: Mapping = _NO_PARAMS, controls=(), layer_tag: str | None = None):
+        if kind not in _SIGNATURES:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        targets = tuple(targets)
+        controls = tuple(controls)
+        if controls:
+            controls = tuple([(w, int(v)) for w, v in controls])
+        params = dict(params)
+        if kind == "DenseUnitary" and "matrix" in params:
             matrix = np.array(params["matrix"], dtype=np.complex128)
             matrix.setflags(write=False)
             params["matrix"] = matrix
-        object.__setattr__(self, "params", MappingProxyType(params))
-        if len(self.controls) > 2:
+        if len(controls) > 2:
             raise ValueError("at most two controls are supported")
-        if len(set(self.targets)) != len(self.targets):
+        if len(targets) > 1 and len(set(targets)) != len(targets):
             raise ValueError("duplicate target wires")
-        control_wires = [w for w, _ in self.controls]
-        if len(set(control_wires)) != len(control_wires):
-            raise ValueError("duplicate control wires")
-        overlap = set(self.targets) & set(control_wires)
-        if overlap:
-            raise ValueError(f"wires {overlap} appear as both target and control")
-        counts, names = _SIGNATURES[self.kind]
-        if counts is not None and len(self.targets) not in counts:
-            raise ValueError(f"{self.kind} takes {' or '.join(map(str, counts))} target(s), got {len(self.targets)}")
-        missing = sorted(name for name in names if name not in params)
-        if missing:
-            raise ValueError(f"{self.kind} is missing parameter(s) {', '.join(missing)}")
-        if self.kind == "Xswap" and (params["i"] == params["j"] or min(params["i"], params["j"]) < 0):
+        if controls:
+            control_wires = [w for w, _ in controls]
+            if len(set(control_wires)) != len(control_wires):
+                raise ValueError("duplicate control wires")
+            overlap = set(targets) & set(control_wires)
+            if overlap:
+                raise ValueError(f"wires {overlap} appear as both target and control")
+        counts, names = _SIGNATURES[kind]
+        if counts is not None and len(targets) not in counts:
+            raise ValueError(f"{kind} takes {' or '.join(map(str, counts))} target(s), got {len(targets)}")
+        if names:
+            missing = [name for name in names if name not in params]
+            if missing:
+                raise ValueError(f"{kind} is missing parameter(s) {', '.join(sorted(missing))}")
+        if kind == "Xswap" and (params["i"] == params["j"] or min(params["i"], params["j"]) < 0):
             raise ValueError(f"Xswap levels ({params['i']},{params['j']}) must be distinct and nonnegative")
-        if self.kind == "PhaseK" and params["den"] <= 0:
+        if kind == "PhaseK" and params["den"] <= 0:
             raise ValueError("PhaseK denominator must be positive")
-        if self.kind == "DenseUnitary":
+        if kind == "DenseUnitary":
             matrix = params["matrix"]
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
                 raise ValueError(f"DenseUnitary matrix must be square, got shape {matrix.shape}")
             if not np.allclose(matrix.conj().T @ matrix, np.eye(matrix.shape[0]), atol=ATOL_UNITARY):
                 raise ValueError("DenseUnitary matrix is not unitary within tolerance")
+        fields = self.__dict__  # frozen: each field is written once, here
+        fields["kind"] = kind
+        fields["targets"] = targets
+        fields["params"] = MappingProxyType(params)
+        fields["controls"] = controls
+        fields["layer_tag"] = layer_tag
 
     def wires(self) -> tuple:
+        if not self.controls:
+            return self.targets
         return self.targets + tuple(w for w, _ in self.controls)
 
     def inverse(self) -> "GateOp":
@@ -313,14 +335,32 @@ def _charge_values(dim: int, level: int | None) -> np.ndarray:
     return (np.arange(dim) == level).astype(float)
 
 
-def _phases(params: Mapping, dims: Sequence[int]) -> np.ndarray:
+def _phases(num, den, offset, level, dims: Sequence[int]) -> np.ndarray:
     """PhaseK phase of each target digit tuple, one array axis per target."""
-    num, den, offset = params["num"], params["den"], params["offset"]
-    q = _charge_values(dims[-1], params["level"]) - offset
+    q = _charge_values(dims[-1], level) - offset
     if len(dims) == 2:
         # the phase multiplies by the first wire's digit x: axis 0 is x, axis 1 is m
         q = np.multiply.outer(np.arange(dims[0], dtype=float), q)
     return np.exp(2j * np.pi * num * q / den)
+
+
+@functools.lru_cache(maxsize=1024)
+def _phase_table(num, den, offset, level, dims: tuple) -> tuple:
+    """(selection, phase) of each target digit tuple whose PhaseK phase is not exactly 1.
+
+    The selection indexes the target axes of a view whose target axes come first.
+    """
+    phases = _phases(num, den, offset, level, dims)
+    return tuple((tuple(map(int, digits)) + (Ellipsis,), phases[digits]) for digits in zip(*np.nonzero(phases != 1.0)))
+
+
+@functools.lru_cache(maxsize=64)
+def _fourier(d: int, sign: int) -> np.ndarray:
+    """Read-only Fourier matrix exp(sign*2*pi*i*x*y/d)/sqrt(d): Hd for sign 1, HdDag for -1."""
+    a = np.arange(d)
+    matrix = np.exp(sign * 2j * np.pi * np.outer(a, a) / d) / math.sqrt(d)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def _check_dims(op: GateOp, dims: Sequence[int]) -> None:
@@ -373,10 +413,7 @@ def _matrix(op: GateOp, dims: Sequence[int]) -> np.ndarray:
                 m[((y + sign * x) % da) + da * x, y + da * x] = 1.0
         return m
     if kind in ("Hd", "HdDag"):
-        d = dims[0]
-        sign = 1 if kind == "Hd" else -1
-        a = np.arange(d)
-        return np.exp(sign * 2j * np.pi * np.outer(a, a) / d) / math.sqrt(d)
+        return _fourier(dims[0], 1 if kind == "Hd" else -1).copy()
     if kind == "Rot":
         d = dims[0]
         m0 = op.params["m"]
@@ -389,18 +426,34 @@ def _matrix(op: GateOp, dims: Sequence[int]) -> np.ndarray:
         u[m0 + 1, m0] = s
         return u
     if kind == "PhaseK":
-        return np.diag(_phases(op.params, dims).reshape(-1, order="F"))
+        params = op.params
+        phases = _phases(params["num"], params["den"], params["offset"], params["level"], dims)
+        return np.diag(phases.reshape(-1, order="F"))
     if kind == "DenseUnitary":
         return op.params["matrix"]
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def _validate_on(op: GateOp, register: QuditRegister) -> None:
-    """Reject an op that does not fit the register; GateOp checked the rest when it was made."""
-    for wire, value in op.controls:
-        if not 0 <= value < register.dim(wire):
-            raise ValueError(f"control value {value} out of range for wire {wire!r}")
-    _check_dims(op, [register.dim(w) for w in op.targets])
+def _place(op: GateOp, register: QuditRegister) -> tuple[list, list, tuple]:
+    """Target positions, control positions and target dims of ``op`` on ``register``.
+
+    The one register lookup of a gate.  It rejects an op that does not fit
+    the register; GateOp checked the rest when it was made.
+    """
+    pos, dims = register._pos, register.dims
+    cpos = []
+    try:
+        for wire, value in op.controls:
+            p = pos[wire]
+            if not 0 <= value < dims[p]:
+                raise ValueError(f"control value {value} out of range for wire {wire!r}")
+            cpos.append(p)
+        tpos = [pos[w] for w in op.targets]
+    except KeyError as exc:
+        raise ValueError(f"wire {exc.args[0]!r} not in register") from None
+    tdims = tuple([dims[p] for p in tpos])
+    _check_dims(op, tdims)
+    return tpos, cpos, tdims
 
 
 def _shift_kernel(op, tdims, view):
@@ -446,15 +499,17 @@ def _rot_kernel(op, tdims, view):
 
 
 def _phase_kernel(op, tdims, view):
-    phases = _phases(op.params, tdims)
-    for digits in zip(*np.nonzero(phases != 1.0)):
-        level = view[digits + (Ellipsis,)]
-        level *= phases[digits]
+    params = op.params
+    for selection, phase in _phase_table(params["num"], params["den"], params["offset"], params["level"], tdims):
+        level = view[selection]
+        level *= phase
 
 
 def _matmul_kernel(op, tdims, view):
+    kind = op.kind
+    matrix = op.params["matrix"] if kind == "DenseUnitary" else _fourier(tdims[0], 1 if kind == "Hd" else -1)
     block = view.reshape((math.prod(tdims), -1), order="F")
-    view[...] = (_matrix(op, tdims) @ block).reshape(view.shape, order="F")
+    view[...] = (matrix @ block).reshape(view.shape, order="F")
 
 
 # Each kernel applies the gate in place to the controlled subspace ``view``
@@ -480,14 +535,13 @@ def apply_gate(state: StateVector, op: GateOp, *, in_place: bool = False) -> Sta
     ``in_place`` updates and returns ``state`` itself, for the owner of its amplitudes.
     """
     reg = state.register
-    _validate_on(op, reg)
-    tpos = [reg.position(w) for w in op.targets]
-    front = tpos + [reg.position(w) for w, _ in op.controls]
+    tpos, cpos, tdims = _place(op, reg)
+    front = tpos + cpos
     order = front + [p for p in range(len(reg)) if p not in front]
-    sel = (slice(None),) * len(tpos) + tuple(v for _, v in op.controls)
+    sel = (slice(None),) * len(tpos) + tuple([v for _, v in op.controls])
     out = state if in_place else StateVector(reg, state.amplitudes.copy())
     view = out.amplitudes.reshape(reg.dims, order="F").transpose(order)[sel]
-    _KERNELS[op.kind](op, tuple(reg.dims[p] for p in tpos), view)
+    _KERNELS[op.kind](op, tdims, view)
     return out
 
 
@@ -608,7 +662,7 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
-            _validate_on(op, self.register)
+            _place(op, self.register)
         if self.accept_rule is not None:
             wires, digits = self.accept_rule
             wires = tuple(wires)

@@ -248,3 +248,44 @@ def test_verify_reports_failures(monkeypatch, capsys):
 def test_verify_runs_real_suites_under_small_cap():
     # plumbing check with a tight cap; the full-cap run lives in the acceptance tests
     assert run_cli(["verify", "--max-amplitudes", "5000"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prepare", "--family", "spin-s", "--n", "2", "--s", "1", "--k", "1", "--method", "hadamard"],
+        ["sweep", "--family", "spin-s", "--n", "2", "--s", "0.5", "--k", "1", "--method", "hadamard", "--param", "p"],
+        ["levelsets", "--kvec", "2,1"],
+        ["export-circuit", "--family", "spin-s", "--n", "2", "--s", "1", "--k", "1", "--method", "hadamard"],
+    ],
+    ids=["prepare", "sweep", "levelsets", "export-circuit"],
+)
+def test_out_in_missing_directory_is_rejected_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    from quditdicke import cli
+
+    monkeypatch.setitem(cli._SPIN_BUILDERS, "hadamard", lambda spec, p: pytest.fail("built a circuit"))
+    monkeypatch.setattr(cli, "build_level_sets", lambda kvec: pytest.fail("built the level sets"))
+    missing = tmp_path / "missing"
+    assert run_cli([*argv, "--out", str(missing / "out.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out directory {missing} does not exist\n"
+    assert captured.out == ""
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prepare", "--family", "spin-s", "--n", "2", "--s", "0.5", "--k", "1", "--method", "hadamard"],
+        ["sweep", "--family", "spin-s", "--n", "2", "--s", "0.5", "--k", "1", "--method", "hadamard", "--param", "p", "--points", "2"],
+        ["levelsets", "--kvec", "2,1"],
+        ["export-circuit", "--family", "spin-s", "--n", "2", "--s", "1", "--k", "1", "--method", "hadamard"],
+    ],
+    ids=["prepare", "sweep", "levelsets", "export-circuit"],
+)
+def test_out_that_cannot_be_written_exits_2(argv, tmp_path, capsys):
+    # the directory exists, so the early check passes and the write itself fails
+    assert run_cli([*argv, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: could not write --out {tmp_path}: Is a directory\n"
+    assert captured.out == ""

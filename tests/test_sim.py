@@ -649,19 +649,37 @@ def test_bad_gate_parameters_fail_at_load(op):
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, message",
     [
-        lambda: GateOp("Sum", (0,)),
-        lambda: GateOp("Rot", (0,), {"m": 0}),
-        lambda: GateOp("PhaseK", (0,), {"num": 1, "den": 0, "offset": 0, "level": None}),
-        lambda: GateOp("Xswap", (0,), {"i": 1, "j": 1}),
-        lambda: GateOp("DenseUnitary", (0,), {"matrix": [[1, 0, 0]]}),
+        (lambda: GateOp("Sum", (0,)), "Sum takes 2 target(s), got 1"),
+        (lambda: GateOp("Rot", (0,), {"m": 0}), "Rot is missing parameter(s) theta"),
+        (lambda: GateOp("PhaseK", (0,), {"num": 1, "den": 0, "offset": 0, "level": None}), "PhaseK denominator must be positive"),
+        (lambda: GateOp("Xswap", (0,), {"i": 1, "j": 1}), "Xswap levels (1,1) must be distinct and nonnegative"),
+        (lambda: GateOp("DenseUnitary", (0,), {"matrix": [[1, 0, 0]]}), "DenseUnitary matrix must be square, got shape (1, 3)"),
+        (lambda: GateOp("Qft", (0,)), "unknown gate kind 'Qft'"),
+        (lambda: xd(0, controls=((1, 0), (2, 0), (3, 1))), "at most two controls are supported"),
+        (lambda: sum_(1, 1), "duplicate target wires"),
+        (lambda: xd(0, controls=((1, 0), (1, 1))), "duplicate control wires"),
+        (lambda: sum_(0, 1, controls=((1, 0),)), "wires {1} appear as both target and control"),
+        (lambda: GateOp("PhaseK", (0, 1, 2), {"num": 1, "den": 3, "offset": 0, "level": None}), "PhaseK takes 1 or 2 target(s), got 3"),
+        (lambda: GateOp("Rot", (0,)), "Rot is missing parameter(s) m, theta"),
+        (lambda: GateOp("PhaseK", (0,), {"num": 1, "level": None}), "PhaseK is missing parameter(s) den, offset"),
+        (lambda: xswap(0, -1, 1), "Xswap levels (-1,1) must be distinct and nonnegative"),
+        (lambda: phase_k(0, 1, -3), "PhaseK denominator must be positive"),
+        (lambda: dense_unitary(0, np.ones(4)), "DenseUnitary matrix must be square, got shape (4,)"),
+        (lambda: dense_unitary(0, [[1, 1], [0, 1]]), "DenseUnitary matrix is not unitary within tolerance"),
     ],
-    ids=["sum-one-target", "rot-without-theta", "phasek-zero-den", "xswap-equal-levels", "dense-not-square"],
+    ids=[
+        "sum-one-target", "rot-without-theta", "phasek-zero-den", "xswap-equal-levels", "dense-not-square",
+        "unknown-kind", "three-controls", "duplicate-targets", "duplicate-controls", "target-and-control",
+        "phasek-three-targets", "rot-no-params", "phasek-missing-two", "xswap-negative", "phasek-negative-den",
+        "dense-one-axis", "dense-not-unitary",
+    ],
 )
-def test_malformed_op_fails_when_made(make):
-    with pytest.raises(ValueError):
+def test_malformed_op_fails_when_made(make, message):
+    with pytest.raises(ValueError) as info:
         make()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -749,3 +767,40 @@ def test_amplitude_dump_site_n_first():
     assert lines[0] == "index,digits,re,im"
     assert len(lines) == 1 + reg.size
     assert lines[1 + 7].startswith("7,1_3,1.0,")
+
+
+def test_phase_table_memo_is_keyed_by_target_dims():
+    import quditdicke.sim as sim
+
+    # the same op on a qubit, a qutrit, then a qubit again: a table cached for
+    # one dimension must never serve another (level 2 exists only on the qutrit)
+    op = phase_k(0, num=1, den=3, offset=1)
+    rng = np.random.default_rng(5)
+    for dim in (2, 3, 2):
+        state = random_state(QuditRegister.of_dims([dim, 2]), rng)
+        fast = apply_gate(state, op)
+        assert np.allclose(fast.amplitudes, naive_apply(state, op).amplitudes, atol=1e-12), dim
+    assert len(sim._phase_table(1, 3, 1, None, (2,))) == 1
+    assert len(sim._phase_table(1, 3, 1, None, (3,))) == 2
+
+
+def test_memoized_tables_are_read_only_and_gate_matrix_stays_fresh():
+    import quditdicke.sim as sim
+
+    state = random_state(QuditRegister.of_dims([3, 2]), np.random.default_rng(6))
+    apply_gate(apply_gate(state, hd(0)), phase_k((0, 1), num=2, den=5, offset=1))
+    fourier = sim._fourier(3, 1)
+    assert not fourier.flags.writeable
+    with pytest.raises(ValueError):
+        fourier[0, 0] = 0.0
+    table = sim._phase_table(2, 5, 1, None, (3, 2))
+    assert isinstance(table, tuple) and all(isinstance(entry, tuple) for entry in table)
+
+    a = np.arange(3)
+    closed_form = np.exp(2j * np.pi * np.outer(a, a) / 3) / math.sqrt(3)
+    matrix = gate_matrix(hd(0), (3,))
+    assert matrix is not fourier and matrix.flags.writeable
+    np.testing.assert_allclose(matrix, closed_form, rtol=0, atol=1e-15)
+    matrix[0, 0] = 5.0
+    np.testing.assert_allclose(gate_matrix(hd(0), (3,)), closed_form, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(sim._fourier(3, 1), closed_form, rtol=0, atol=1e-15)
