@@ -18,13 +18,13 @@ import sys
 from fractions import Fraction
 
 from .levelsets import build_level_sets
-from .qpe import BUILDERS, run_postselected
+from .qpe import BUILDERS
 from .reference import DickeSpecSpinS, DickeSpecSUD, spin_s_dicke, sud_dicke
 from .report import count_resources
-from .sequential import build_sequential_spin_s, build_sequential_sud, verify_sequential
+from .sequential import build_sequential_spin_s, build_sequential_sud
 from .serialize import circuit_to_json
-from .sim import ANCILLA_ACCEPT, FIDELITY_ACCEPT, acceptance_probability
-from .suites import DEFAULT_MAX_AMPLITUDES, run_all
+from .sim import acceptance_probability
+from .suites import DEFAULT_MAX_AMPLITUDES, check_case, run_all
 
 
 def _parse_spin(text: str) -> int:
@@ -78,6 +78,10 @@ def _build_circuit(spec, method: str, p: float | None, xi):
 
 
 def _spec_and_circuit(args):
+    """The spec and its circuit; a boost flag the family or method does not take is a usage error."""
+    for flag, value, family in (("--p", args.p, "spin-s"), ("--xi", args.xi, "sud")):
+        if value is not None and (args.method == "sequential" or args.family != family):
+            raise ValueError(f"{flag} applies only to the probabilistic methods of the {family} family")
     spec = _spec_from_args(args)
     xi = _parse_vector(args.xi, float, "xi vector") if args.xi else None
     return spec, _build_circuit(spec, args.method, args.p, xi)
@@ -168,18 +172,11 @@ def _cmd_prepare(args) -> int:
     seed = _default_seed(args)
     spec, circuit = _spec_and_circuit(args)
     _cap_check(circuit, args.max_amplitudes)
-    oracle = _oracle(spec)
-    if args.method == "sequential":
-        report = verify_sequential(circuit, oracle)
-    else:
-        shots = args.shots if seed is not None else 0
-        report = run_postselected(circuit, oracle, shots=shots, seed=seed)
+    expected = 1.0 if args.method == "sequential" else None
+    report, failures = check_case(args.method, circuit, _oracle(spec), expected, args.shots if seed is not None else 0, seed)
     text = report.to_json() if args.format == "json" else report.CSV_HEADER + "\n" + report.to_csv_row()
     _emit(text, args.out)
-    ok = report.conditional_fidelity >= FIDELITY_ACCEPT
-    if args.method == "sequential":
-        ok = ok and report.acceptance_probability >= ANCILLA_ACCEPT
-    return 0 if ok else 1
+    return 1 if failures else 0
 
 
 def _cmd_verify(args) -> int:

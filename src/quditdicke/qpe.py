@@ -28,6 +28,7 @@ from .sim import (
     QuditRegister,
     StateVector,
     _draw_outcomes,
+    _fourier,
     dense_unitary,
     hd,
     hd_dag,
@@ -144,11 +145,6 @@ def _circuit(readout: ChargeReadout, method: str, ancillas, ops, accept_rule, no
     return Circuit(QuditRegister(wires), _prep_ops(readout.site_amps, system) + ops, accept_rule, meta)
 
 
-def _inverse_fourier(size: int) -> np.ndarray:
-    a = np.arange(size)
-    return np.exp(-2j * np.pi * np.outer(a, a) / size) / math.sqrt(size)
-
-
 def _build_qpe_log(readout: ChargeReadout) -> Circuit:
     """One qubit bank per charge, written through controlled charge phases and
     read by an inverse Fourier block; accepts when bank x shows the target in
@@ -160,7 +156,7 @@ def _build_qpe_log(readout: ChargeReadout) -> Circuit:
     for bank, (_, level, _) in zip(banks, readout.charges):
         for x in range(ell):
             ops += [phase_k(w, num=2**x, den=size, level=level, controls=((bank[x], 1),)) for w in readout.system]
-    ops += [dense_unitary(tuple(bank), _inverse_fourier(size)) for bank in banks]
+    ops += [dense_unitary(tuple(bank), _fourier(size, -1)) for bank in banks]
     qubits = tuple(q for bank in banks for q in bank)
     digits = tuple((target >> x) & 1 for _, _, target in readout.charges for x in range(ell))
     return _circuit(readout, "qpe-log", [(q, 2) for q in qubits], ops, (qubits, digits))

@@ -251,6 +251,10 @@ class GateOp:
         fields["controls"] = controls
         fields["layer_tag"] = layer_tag
 
+    def __reduce__(self):
+        # unpickling rebuilds the op through __init__, so it passes every check again
+        return type(self), (self.kind, self.targets, dict(self.params), self.controls, self.layer_tag)
+
     def wires(self) -> tuple:
         if not self.controls:
             return self.targets

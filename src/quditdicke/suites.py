@@ -1,10 +1,16 @@
 """End-to-end verification suites shared by the test suite and the CLI.
 
 Each criterion runs a full grid at its stated tolerance and reports
-failures (and any registers skipped for exceeding the amplitude cap) as
+failures, and every case skipped for exceeding the amplitude cap, as
 detail lines.  The CLI ``verify`` subcommand and tests/test_acceptance.py
 both drive these functions, so the command line and the test suite can
 never disagree about what passing means.
+
+Every case goes through one path.  ``_case(spec, method)`` is the only
+map from a family to its detail-line name, builder, oracle and closed-form
+acceptance probability.  A criterion that simulates skips each case whose
+register exceeds the cap, and ``check_case`` is the only code that decides
+whether a simulated case passes; ``quditdicke prepare`` calls it too.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from .sim import (
 )
 
 DEFAULT_MAX_AMPLITUDES = 10**6
+_PROBABILISTIC = tuple(BUILDERS["spin-s"])  # method names, as in qpe.BUILDERS
 
 
 def spin_s_grid(max_twice_s: int, max_n: int) -> Iterator[DickeSpecSpinS]:
@@ -118,57 +125,65 @@ def _bond_factorization(spec):
     )
 
 
-def _criterion_sequential(ident, description, specs, build, oracle, ancillas, max_amplitudes) -> CriterionResult:
-    failures, skips = [], []
-    for spec in specs:
-        family, label = _family(spec)
-        circuit = build(spec)
+def _case(spec, method: str):
+    """(name, circuit, oracle, expected) of one spec under one method: the detail-line
+    name, the built circuit, the oracle and the closed-form acceptance probability."""
+    family, label = _family(spec)
+    spin = family == "spin-s"
+    oracle = spin_s_dicke(spec) if spin else sud_dicke(spec)
+    if method == "sequential":
+        return f"{family} {label}", (build_sequential_spin_s if spin else build_sequential_sud)(spec), oracle, 1.0
+    closed_form = probability_spin_s(spec.n, spec.twice_s, spec.k) if spin else probability_sud(spec.n, spec.kvec)
+    return f"{family} {method} {label}", BUILDERS[family][method](spec), oracle, closed_form.probability
+
+
+def _cases(pairs, max_amplitudes: int, skips: list[str]):
+    """``_case`` of each (spec, method) pair in order, or a skip line when its register exceeds the cap."""
+    for spec, method in pairs:
+        name, circuit, oracle, expected = _case(spec, method)
         if circuit.register.size > max_amplitudes:
-            skips.append(f"{family} {label}: register size {circuit.register.size}")
-            continue
-        report = verify_sequential(circuit, oracle(spec))
-        if report.acceptance_probability < ANCILLA_ACCEPT:
-            failures.append(f"{label}: {ancillas} probability {report.acceptance_probability!r}")
-        if report.conditional_fidelity < FIDELITY_ACCEPT:
-            failures.append(f"{label}: fidelity {report.conditional_fidelity!r}")
+            skips.append(f"{name}: register size {circuit.register.size}")
+        else:
+            yield name, circuit, oracle, expected
+
+
+def check_case(name: str, circuit, oracle, expected: float | None, shots: int = 0, seed: int | None = None):
+    """Simulate and judge one built case, (report, failure lines), by the one pass/fail rule: a sequential
+    circuit returns its ancillas, P is within ATOL_PROBABILITY of ``expected`` unless None, F >= FIDELITY_ACCEPT."""
+    sequential = circuit.meta["method"] == "sequential"
+    report = verify_sequential(circuit, oracle) if sequential else run_postselected(circuit, oracle, shots=shots, seed=seed)
+    probability, conditional = report.acceptance_probability, report.conditional_fidelity
+    close = expected is None or abs(probability - expected) <= ATOL_PROBABILITY
+    failures = []
+    if not close or (sequential and not probability >= ANCILLA_ACCEPT):
+        failures.append(f"{name}: probability {probability!r} vs {expected!r}")
+    if not conditional >= FIDELITY_ACCEPT:
+        failures.append(f"{name}: fidelity {conditional!r}")
+    return report, failures
+
+
+def _criterion_cases(ident: str, description: str, specs, methods, max_amplitudes: int) -> CriterionResult:
+    """Build, cap and check every spec under every method, spec-major."""
+    failures, skips = [], []
+    for case in _cases(itertools.product(specs, methods), max_amplitudes, skips):
+        failures += check_case(*case)[1]
     return _result(ident, description, failures, skips)
 
 
 def criterion_sequential_spin_s(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> CriterionResult:
     description = "sequential spin-s circuits match the closed form (2s<=3, n<=5, all k)"
-    return _criterion_sequential(
-        "criterion-1", description, spin_s_grid(3, 5), build_sequential_spin_s, spin_s_dicke, "ancilla", max_amplitudes
-    )
+    return _criterion_cases("criterion-1", description, spin_s_grid(3, 5), ("sequential",), max_amplitudes)
 
 
 def criterion_sequential_sud(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> CriterionResult:
     description = "sequential multilevel circuits match the closed form (d<=4, n<=5, all compositions)"
-    return _criterion_sequential(
-        "criterion-2", description, sud_grid(4, 5), build_sequential_sud, sud_dicke, "ancilla/flag", max_amplitudes
-    )
+    return _criterion_cases("criterion-2", description, sud_grid(4, 5), ("sequential",), max_amplitudes)
 
 
 def criterion_qpe_probabilities(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> CriterionResult:
     description = "probabilistic builders accept with the exact success probability (six schemes)"
-    failures, skips = [], []
-    for spec in itertools.chain(spin_s_grid(3, 4), sud_grid(3, 4)):
-        family, label = _family(spec)
-        if family == "spin-s":
-            expected, oracle = probability_spin_s(spec.n, spec.twice_s, spec.k).probability, spin_s_dicke(spec)
-        else:
-            expected, oracle = probability_sud(spec.n, spec.kvec).probability, sud_dicke(spec)
-        for method, build in BUILDERS[family].items():
-            case = f"{family} {method} {label}"
-            circuit = build(spec)
-            if circuit.register.size > max_amplitudes:
-                skips.append(f"{case}: register size {circuit.register.size}")
-                continue
-            report = run_postselected(circuit, oracle)
-            if abs(report.acceptance_probability - expected) > ATOL_PROBABILITY:
-                failures.append(f"{case}: probability {report.acceptance_probability!r} vs {expected!r}")
-            if report.conditional_fidelity < FIDELITY_ACCEPT:
-                failures.append(f"{case}: fidelity {report.conditional_fidelity!r}")
-    return _result("criterion-3", description, failures, skips)
+    specs = itertools.chain(spin_s_grid(3, 4), sud_grid(3, 4))
+    return _criterion_cases("criterion-3", description, specs, _PROBABILISTIC, max_amplitudes)
 
 
 def _acceptance_probability(circuit) -> float:
@@ -177,7 +192,7 @@ def _acceptance_probability(circuit) -> float:
 
 def criterion_parameter_optimality(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES, seed: int = 404) -> CriterionResult:
     description = "grid search places the acceptance-probability argmax at the optimal boost (10 random specs)"
-    failures: list[str] = []
+    failures, skips = [], []
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, 1.0, 101)
     for _ in range(5):
@@ -185,6 +200,8 @@ def criterion_parameter_optimality(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES,
         n = int(rng.integers(2, 4))
         k = int(rng.integers(1, twice_s * n))
         spec = DickeSpecSpinS(n, twice_s, k)
+        if not list(_cases([(spec, "hadamard")], max_amplitudes, skips)):
+            continue  # above the cap: skipped
         best = k / (twice_s * n)
         values = [_acceptance_probability(build_hadamard_test_spin_s(spec, p=float(p))) for p in grid]
         argmax = int(np.argmax(values))
@@ -199,6 +216,8 @@ def criterion_parameter_optimality(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES,
                 break
         spec = DickeSpecSUD(n, kvec)
         axis = int(rng.integers(0, 3))
+        if not list(_cases([(spec, "hadamard")], max_amplitudes, skips)):
+            continue  # above the cap: skipped
         best = math.sqrt(kvec[axis] / n)
         optimal = [math.sqrt(v / n) for v in kvec]
         values = []
@@ -213,7 +232,7 @@ def criterion_parameter_optimality(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES,
         nearest = int(np.argmin(np.abs(grid - best)))
         if argmax != nearest:
             failures.append(f"sud n={n} kvec={kvec} axis={axis}: argmax xi={grid[argmax]}, optimal {best}")
-    return _result("criterion-4", description, failures, [])
+    return _result("criterion-4", description, failures, skips)
 
 
 def criterion_level_set_proposition(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> CriterionResult:
@@ -340,18 +359,14 @@ def criterion_resource_scaling(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> 
 
 def criterion_sampling(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES, shots: int = 10_000, seed: int = 1234) -> CriterionResult:
     description = "seeded sampling matches the exact acceptance probability within 5 sigma, bit-identically"
-    failures: list[str] = []
-    cases = []
-    spin_spec = DickeSpecSpinS(3, 2, 3)
-    for method, build in BUILDERS["spin-s"].items():
-        cases.append((f"spin-s {method}", build(spin_spec), spin_s_dicke(spin_spec), probability_spin_s(3, 2, 3).probability))
-    for method, build in BUILDERS["sud"].items():
-        # the d=3 fan-out register grows fastest; sample it at n=2 to stay under the cap
-        spec = DickeSpecSUD(2, (1, 1, 0)) if method == "fanout" else DickeSpecSUD(3, (1, 1, 1))
-        cases.append((f"sud {method}", build(spec), sud_dicke(spec), probability_sud(spec.n, spec.kvec).probability))
-    for name, circuit, oracle, exact in cases:
-        first = run_postselected(circuit, oracle, shots=shots, seed=seed)
-        again = run_postselected(circuit, oracle, shots=shots, seed=seed)
+    failures, skips = [], []
+    cases = [(DickeSpecSpinS(3, 2, 3), method) for method in _PROBABILISTIC]
+    # the d=3 fan-out register grows fastest; sample it at n=2 to stay under the cap
+    cases += [(DickeSpecSUD(2, (1, 1, 0)) if m == "fanout" else DickeSpecSUD(3, (1, 1, 1)), m) for m in _PROBABILISTIC]
+    for name, circuit, oracle, exact in _cases(cases, max_amplitudes, skips):
+        first, failed = check_case(name, circuit, oracle, exact, shots, seed)
+        again, _ = check_case(name, circuit, oracle, exact, shots, seed)
+        failures += failed
         frequency = first.sampled_frequency
         if frequency != again.sampled_frequency:
             failures.append(f"{name}: rerun with the same seed differs")
@@ -359,7 +374,7 @@ def criterion_sampling(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES, shots: int 
         sigma = math.sqrt(exact * (1.0 - exact) / shots)
         if abs(frequency - exact) > 5.0 * sigma:
             failures.append(f"{name}: frequency {frequency!r} vs exact {exact!r} (sigma {sigma!r})")
-    return _result("criterion-9", description, failures, [])
+    return _result("criterion-9", description, failures, skips)
 
 
 ALL_CRITERIA = (

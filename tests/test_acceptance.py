@@ -4,8 +4,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they complete, or ``quditdicke verify`` for the same checks from the
 command line.  Registers above the amplitude cap (10^6 by default) are
 skipped and listed in the output; every simulated case is asserted at the
-stated tolerance.
+stated tolerance.  tests/data/verify_details.txt pins every criterion's
+detail lines at the default cap: an unindented line names a criterion and
+each indented line below it is one detail line.
 """
+
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +27,24 @@ from quditdicke.reference import (
 from quditdicke.report import embedded_reference
 from quditdicke.sequential import build_sequential_spin_s, build_sequential_sud
 from quditdicke.sim import ATOL_PROBABILITY, FIDELITY_ACCEPT, fidelity, project_on_outcome
-from quditdicke.suites import ALL_CRITERIA, DEFAULT_MAX_AMPLITUDES
+from quditdicke.suites import (
+    ALL_CRITERIA,
+    DEFAULT_MAX_AMPLITUDES,
+    criterion_parameter_optimality,
+    criterion_sampling,
+    spin_s_grid,
+)
+
+
+def pinned_details() -> dict[str, list[str]]:
+    details: dict[str, list[str]] = {}
+    for line in (Path(__file__).parent / "data" / "verify_details.txt").read_text().splitlines():
+        if line.startswith("    "):
+            details[ident].append(line[4:])
+        else:
+            ident = line
+            details[ident] = []
+    return details
 
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA, ids=[c.ident for c in ALL_CRITERIA])
@@ -35,6 +56,8 @@ def test_criterion(criterion):
         print(f"    ({len(skipped)} register(s) above the amplitude cap were skipped)")
     failures = [line for line in result.details if not line.startswith("skipped")]
     assert result.passed, "\n".join(failures)
+    # the `verify` output stays byte-identical: the same detail lines in the same order
+    assert result.details == pinned_details()[criterion.ident]
 
 
 @pytest.mark.parametrize(
@@ -102,3 +125,42 @@ def test_random_spec_prepares_its_oracle(case):
     probability, conditional = project_on_outcome(circuit.run(), wires, digits)
     assert abs(probability - closed_form) <= ATOL_PROBABILITY
     assert fidelity(conditional, embedded_reference(circuit, oracle, dict(zip(wires, digits)))) >= FIDELITY_ACCEPT
+
+
+def test_every_criterion_that_simulates_skips_above_the_cap():
+    result = criterion_sampling(5000)
+    assert result.passed
+    assert result.details == [
+        "skipped: spin-s fanout n=3 2s=2 k=3: register size 157464",
+        "skipped: sud fanout n=2 kvec=(1, 1, 0): register size 104976",
+    ]
+    # the ten random specs of criterion 4 hold at most 640 amplitudes
+    assert criterion_parameter_optimality(640).details == []
+    result = criterion_parameter_optimality(100)
+    sizes = [int(line.rsplit(" ", 1)[1]) for line in result.details]
+    assert result.passed and sizes
+    assert all(line.startswith("skipped: ") and " hadamard " in line for line in result.details)
+    assert all(100 < size <= 640 for size in sizes)
+
+
+@pytest.mark.parametrize(
+    "ident, spin_s_cases", [("criterion-1", len(list(spin_s_grid(3, 5)))), ("criterion-3", 3 * len(list(spin_s_grid(3, 4))))]
+)
+def test_criteria_fail_on_a_wrong_oracle(monkeypatch, ident, spin_s_cases):
+    from quditdicke import suites
+
+    exact = suites.spin_s_dicke
+
+    def oracle_at_k_minus_1(spec):
+        # charge k-1, wrapping k=0 to the largest charge: orthogonal to the target
+        return exact(DickeSpecSpinS(spec.n, spec.twice_s, (spec.k - 1) % (spec.max_charge + 1)))
+
+    monkeypatch.setattr(suites, "spin_s_dicke", oracle_at_k_minus_1)
+    result = next(c for c in ALL_CRITERIA if c.ident == ident).run(DEFAULT_MAX_AMPLITUDES)
+    assert not result.passed
+    skipped = [line for line in result.details if line.startswith("skipped: ")]
+    failures = [line for line in result.details if not line.startswith("skipped: ")]
+    assert skipped == pinned_details()[ident]
+    # every spin-s case that ran fails on its fidelity alone, and no other case fails
+    assert all(line.startswith("spin-s ") and ": fidelity " in line for line in failures)
+    assert len(failures) == spin_s_cases - sum(line.startswith("skipped: spin-s ") for line in skipped)

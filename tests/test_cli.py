@@ -126,6 +126,31 @@ def test_amplitude_cap_below_one_is_rejected_before_any_work(argv, cap, capsys, 
     assert captured.out == ""
 
 
+SPIN_S_SPEC = ["--family", "spin-s", "--s", "1", "--k", "1"]
+SUD_SPEC = ["--family", "sud", "--kvec", "1,1"]
+
+
+@pytest.mark.parametrize("command", ["prepare", "export-circuit"])
+@pytest.mark.parametrize(
+    "spec, method, flag, family",
+    [
+        (SPIN_S_SPEC, "qpe-log", ["--xi", "1,2"], "sud"),
+        (SUD_SPEC, "hadamard", ["--p", "0.9"], "spin-s"),
+        (SPIN_S_SPEC, "sequential", ["--p", "0.3"], "spin-s"),
+        (SUD_SPEC, "sequential", ["--xi", "3,4"], "sud"),
+    ],
+    ids=["xi-spin-s", "p-sud", "p-sequential", "xi-sequential"],
+)
+def test_boost_flag_that_does_not_apply_is_rejected_before_building(command, spec, method, flag, family, capsys, monkeypatch):
+    from quditdicke import cli
+
+    monkeypatch.setattr(cli, "_build_circuit", lambda *args: pytest.fail("built a circuit"))
+    assert run_cli([command, "--n", "2", *spec, "--method", method, *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag[0]} applies only to the probabilistic methods of the {family} family\n"
+    assert captured.out == ""
+
+
 def test_usage_errors_exit_2():
     assert run_cli([]) == 2
     assert run_cli(["prepare", "--family", "bogus", "--n", "2"]) == 2

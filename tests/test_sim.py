@@ -3,7 +3,9 @@
 import dataclasses
 import io
 import math
+import pickle
 import tracemalloc
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -710,6 +712,56 @@ def test_gate_op_is_immutable():
     assert op.params["matrix"][0, 0] == 1.0
     with pytest.raises(ValueError):
         op.params["matrix"][0, 0] = 5.0
+
+
+def _op_fields(op):
+    params = {name: value.tobytes() if isinstance(value, np.ndarray) else value for name, value in op.params.items()}
+    return op.kind, op.targets, params, op.controls, op.layer_tag
+
+
+def test_gate_op_pickles_every_kind():
+    reg = QuditRegister.of_dims([2, 3, 2])
+    unitary = scipy.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)) + 0j)[0]
+    ops = [
+        xd(1),
+        xd_dag(1, controls=((0, 1),)),
+        xswap(1, 0, 2),
+        sum_(1, 0),
+        sum_dag(0, 2, controls=((1, 2),)),
+        hd(1),
+        hd_dag(2, layer_tag="readout"),
+        rot(1, 0, 0.7, controls=((0, 1), (2, 0))),
+        phase_k((1, 0), num=3, den=7, offset=2, level=1),
+        dense_unitary((0, 2), unitary, controls=((1, 2),), layer_tag="fan"),
+    ]
+    assert {op.kind for op in ops} == set(GATE_KINDS)
+    copies = pickle.loads(pickle.dumps(ops))
+    for op, copy in zip(ops, copies):
+        assert type(copy) is GateOp and _op_fields(copy) == _op_fields(op)
+        assert isinstance(copy.params, MappingProxyType)
+    assert not copies[-1].params["matrix"].flags.writeable
+    circuit = Circuit(reg, ops)
+    assert Circuit(reg, copies).run().amplitudes.tobytes() == circuit.run().amplitudes.tobytes()
+
+
+def test_unpickled_gate_op_passes_its_checks_again():
+    op = phase_k(0, 1, 3)
+    op.__dict__["params"] = MappingProxyType(dict(op.params, den=0))  # bypasses the frozen fields
+    data = pickle.dumps(op)
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        pickle.loads(data)
+
+
+@pytest.mark.parametrize("family", ["spin-s", "sud"])
+@pytest.mark.parametrize("method", ["sequential", "qpe-log", "hadamard", "fanout"])
+def test_built_circuit_pickles(family, method):
+    builder = _SEQUENTIAL[family] if method == "sequential" else BUILDERS[family][method]
+    circuit = builder(_SMALL_SPECS[family])
+    copy = pickle.loads(pickle.dumps(circuit))
+    assert copy.register.ids == circuit.register.ids and copy.register.dims == circuit.register.dims
+    assert copy.accept_rule == circuit.accept_rule and copy.meta == circuit.meta
+    assert [_op_fields(op) for op in copy.ops] == [_op_fields(op) for op in circuit.ops]
+    assert copy.run().amplitudes.tobytes() == circuit.run().amplitudes.tobytes()
 
 
 def test_circuit_rejects_non_unitary_dense_block():
