@@ -176,6 +176,8 @@ def _cmd_prepare(args) -> int:
     report, failures = check_case(args.method, circuit, _oracle(spec), expected, args.shots if seed is not None else 0, seed)
     text = report.to_json() if args.format == "json" else report.CSV_HEADER + "\n" + report.to_csv_row()
     _emit(text, args.out)
+    for line in failures:
+        print(f"failed: {line}", file=sys.stderr)
     return 1 if failures else 0
 
 

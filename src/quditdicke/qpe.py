@@ -261,8 +261,9 @@ def run_postselected(circuit: Circuit, oracle_state: StateVector, shots: int = 0
             notes.append("acceptance has probability 0: reported as failure")
         if shots:
             wires, digits = circuit.accept_rule
-            draws = _draw_outcomes(state, wires, 0 if seed is None else int(seed), size=int(shots))
-            hits = np.count_nonzero(draws == outcome_index(circuit.register, wires, digits))
+            accept = outcome_index(circuit.register, wires, digits)
+            draws = _draw_outcomes(state, wires, 0 if seed is None else int(seed), int(shots))
+            hits = sum(map(lambda block: int(np.count_nonzero(block == accept)), draws))  # frees each block before the next draw
             frequency = float(hits) / float(shots)
             notes.append(f"sampled acceptance frequency {frequency!r} over {shots} shots")
         return probability, math.inf if probability == 0.0 else 1.0 / probability, seed

@@ -7,7 +7,11 @@ return new states and never mutate their inputs.  Each gate kernel acts
 in place on one view, the controlled subspace, chosen by gate kind: slice
 moves for the permutations (Xd, XdDag, Xswap, Sum, SumDag), a two-slice
 update for Rot, slice scaling for PhaseK, and a dense block matrix
-product for Hd, HdDag and DenseUnitary.  The PhaseK table of non-unit
+product for Hd, HdDag and DenseUnitary.  The block product holds at most
+two blocks of the bound ``_BLOCK``: a view above it is multiplied one
+sub-view at a time, looping over the trailing (most significant)
+non-target axes that do not fit, and each product is written back in
+place; a view that fits is one product.  The PhaseK table of non-unit
 phases and the Hd/HdDag Fourier matrix come from bounded private
 ``lru_cache`` memos, keyed by (num, den, offset, level, target dims) and
 by (d, sign), and are read-only; ``gate_matrix`` still returns a fresh
@@ -38,7 +42,8 @@ themselves onto the listed wires; ``project_on_outcome`` takes the
 probability of the selected block from one ``np.vdot`` and divides the
 block straight into the zeroed output.  ``sample_measure`` and the shot
 counts of ``qpe.run_postselected`` share one sampling path,
-``_draw_outcomes``: ``default_rng(seed).choice`` on the exact marginal.
+``_draw_outcomes``: ``default_rng(seed).choice`` on the exact marginal,
+drawn in blocks of ``_BLOCK`` shots that continue one generator stream.
 An empty wire list is the certain outcome, digits () with probability the
 squared norm.
 """
@@ -61,6 +66,8 @@ ANCILLA_ACCEPT = 1.0 - 1e-10  # probability that a deterministic circuit returns
 ATOL_PROBABILITY = 1e-9  # simulated acceptance probability against its closed form
 ATOL_IDENTITY = 1e-10  # identities exact in exact arithmetic: duality, charge moments, bond rows
 ATOL_CASCADE = 1e-9  # rotation cascade: squared amplitudes above 1, ratios outside [-1, 1]
+
+_BLOCK = 2**16  # scratch bound of block products and shot draws: a 1 MiB block and its product fit a 2 MiB L2 cache
 
 # target counts (None: any) and parameter names of each gate kind
 _SIGNATURES = {
@@ -512,13 +519,20 @@ def _phase_kernel(op, tdims, view):
 def _matmul_kernel(op, tdims, view):
     kind = op.kind
     matrix = op.params["matrix"] if kind == "DenseUnitary" else _fourier(tdims[0], 1 if kind == "Hd" else -1)
-    block = view.reshape((math.prod(tdims), -1), order="F")
-    view[...] = (matrix @ block).reshape(view.shape, order="F")
+    rows = math.prod(tdims)
+    # keep the leading axes whose sub-view fits the bound (the targets at least) and loop over the rest
+    lead = view.ndim
+    while lead > len(tdims) and math.prod(view.shape[:lead]) > _BLOCK:
+        lead -= 1
+    for index in np.ndindex(view.shape[lead:]):
+        sub = view[(Ellipsis,) + index]
+        sub[...] = (matrix @ sub.reshape((rows, -1), order="F")).reshape(sub.shape, order="F")
 
 
 # Each kernel applies the gate in place to the controlled subspace ``view``
 # (target axes first).  Each temporary it holds is at most one level slice
-# or one Sum fiber, except the reshaped block and the product of _matmul_kernel.
+# or one Sum fiber; _matmul_kernel holds two blocks of at most _BLOCK amplitudes
+# (or of the target dims' product, when that alone is larger).
 _KERNELS = {
     "Xd": _shift_kernel,
     "XdDag": _shift_kernel,
@@ -623,14 +637,20 @@ def acceptance_probability(state: StateVector, accept_rule: tuple) -> float:
     return float(outcome_distribution(state, wires)[outcome_index(state.register, wires, digits)])
 
 
-def _draw_outcomes(state: StateVector, wires: Sequence, seed: int, size: int | None = None):
-    """Outcome indices over ``wires`` drawn from the exact marginal by ``default_rng(seed)``.
+def _draw_outcomes(state: StateVector, wires: Sequence, seed: int, shots: int | None = None):
+    """Yield outcome indices over ``wires`` drawn from the exact marginal by one ``default_rng(seed)``.
 
-    One index when ``size`` is None, else an array of ``size`` indices.
+    One index when ``shots`` is None, else arrays of at most _BLOCK indices,
+    ``shots`` in all: the same draws as one ``choice(size=shots)``.
     The one sampling path of ``sample_measure`` and of shot counts.
     """
     probs = outcome_distribution(state, wires)
-    return np.random.default_rng(seed).choice(probs.size, size=size, p=probs / probs.sum())
+    choose = functools.partial(np.random.default_rng(seed).choice, probs.size, p=probs / probs.sum())
+    if shots is None:
+        yield choose()
+        return
+    for start in range(0, shots, _BLOCK):
+        yield choose(size=min(_BLOCK, shots - start))
 
 
 def sample_measure(state: StateVector, wires: Sequence, seed: int) -> tuple[tuple[int, ...], StateVector]:
@@ -640,7 +660,7 @@ def sample_measure(state: StateVector, wires: Sequence, seed: int) -> tuple[tupl
     the same as project_on_outcome on the drawn digits.
     """
     wires = tuple(wires)
-    index = int(_draw_outcomes(state, wires, int(seed)))
+    index = int(next(_draw_outcomes(state, wires, int(seed))))
     digits = _digits_of(index, [state.register.dim(w) for w in wires])
     _, collapsed = project_on_outcome(state, wires, digits)
     return digits, collapsed

@@ -175,6 +175,15 @@ def test_prepare_exit_1_on_verification_failure(tmp_path):
     assert report.acceptance_probability < 1e-9
 
 
+def test_prepare_names_each_failure_on_stderr(capsys):
+    # xi = (1, 0) gives the second level no amplitude: the accepted branch is rounding residue, far from the oracle
+    code = run_cli(["prepare", "--family", "sud", "--n", "2", "--kvec", "1,1", "--method", "hadamard", "--xi", "1,0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "hadamard: fidelity 0.0" in captured.err
+    assert json.loads(captured.out)["conditional_fidelity"] == 0.0
+
+
 def test_report_json_round_trip(tmp_path):
     out = tmp_path / "report.json"
     run_cli(["prepare", "--family", "spin-s", "--n", "2", "--s", "0.5", "--k", "1", "--method", "hadamard", "--out", str(out)])

@@ -490,6 +490,46 @@ def test_sampling_notes_are_deterministic():
     assert abs(frequency - 0.5) < 5 * sigma
 
 
+@pytest.mark.parametrize("seed", [0, 7, 1234])
+def test_shot_counts_in_blocks_equal_one_draw(seed):
+    from quditdicke.sim import _BLOCK, _draw_outcomes, outcome_index
+
+    spec = DickeSpecSpinS(2, 1, 1)
+    circuit = build_qpe_log_spin_s(spec)
+    state = circuit.run()
+    wires, digits = circuit.accept_rule
+    probs = outcome_distribution(state, wires)
+    accept = outcome_index(circuit.register, wires, digits)
+    for shots in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+        draws = np.random.default_rng(seed).choice(probs.size, size=shots, p=probs / probs.sum())
+        blocks = list(_draw_outcomes(state, wires, seed, shots))
+        assert max(block.size for block in blocks) <= _BLOCK
+        assert np.array_equal(np.concatenate(blocks), draws)
+        report = run_postselected(circuit, spin_s_dicke(spec), shots=shots, seed=seed)
+        assert report.sampled_frequency == np.count_nonzero(draws == accept) / shots
+
+
+def test_shot_counts_hold_one_block_of_draws():
+    import tracemalloc
+
+    from quditdicke.sim import _BLOCK
+
+    spec = DickeSpecSpinS(2, 1, 1)
+    circuit, oracle = build_qpe_log_spin_s(spec), spin_s_dicke(spec)
+    peaks = []
+    for shots in (1, 4 * _BLOCK + 1):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_postselected(circuit, oracle, shots=shots, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    # Generator.choice holds one block's float64 uniforms beside its int64 indices; all the
+    # shots at once would hold 4 * _BLOCK + 1 of each
+    assert peaks[1] - peaks[0] < 2 * 8 * _BLOCK + 2**16
+
+
 # sha256 of circuit_to_json, wire ids and layer tags, recorded from the
 # per-family builders; any change to what a builder emits changes a digest
 PINNED_BUILDS = [

@@ -420,14 +420,16 @@ def test_circuit_run_keeps_every_group_in_register_order(family, method, monkeyp
 @pytest.mark.parametrize(
     "build, spec, most",
     [
-        (BUILDERS["spin-s"]["fanout"], DickeSpecSpinS(3, 2, 3), 3.0),
+        (BUILDERS["spin-s"]["fanout"], DickeSpecSpinS(3, 2, 3), 2.0),
+        (BUILDERS["sud"]["qpe-log"], DickeSpecSUD(7, (3, 2, 2)), 2.0),
         (build_sequential_spin_s, DickeSpecSpinS(9, 2, 9), 1.5),
     ],
-    ids=["fanout", "sequential"],
+    ids=["fanout", "qpe-log", "sequential"],
 )
 def test_circuit_run_peak_memory_in_full_vectors(build, spec, most):
-    # every gate runs in place on the group it acts on, so no gate copies a whole group;
-    # 64 KiB covers the Python objects and the small groups that run keeps beside the vectors
+    # every gate runs in place on the group it acts on, and a block product holds at most two
+    # blocks of the bound, so no gate copies a whole group; 64 KiB covers the Python objects
+    # and the small groups that run keeps beside the vectors
     circuit = build(spec)
     tracemalloc.start()
     try:
@@ -437,6 +439,74 @@ def test_circuit_run_peak_memory_in_full_vectors(build, spec, most):
     finally:
         tracemalloc.stop()
     assert peak <= most * circuit.register.size * 16 + 2**16
+
+
+def _controlled_view(amplitudes, register, op):
+    """The controlled subspace of ``op`` with its target axes first, as apply_gate builds it."""
+    tpos = [register.position(w) for w in op.targets]
+    front = tpos + [register.position(w) for w, _ in op.controls]
+    order = front + [p for p in range(len(register)) if p not in front]
+    sel = (slice(None),) * len(tpos) + tuple(v for _, v in op.controls)
+    return amplitudes.reshape(register.dims, order="F").transpose(order)[sel]
+
+
+def single_product(state, op):
+    """The unblocked formula: one tensordot of the gate matrix with the whole controlled subspace."""
+    reg = state.register
+    tpos = [reg.position(w) for w in op.targets]
+    tdims = tuple(reg.dims[p] for p in tpos)
+    k = len(tdims)
+    matrix = gate_matrix(op, tdims).reshape(tdims + tdims, order="F")  # axes: output digits, then input digits
+    tensor = state.amplitudes.reshape(reg.dims, order="F").copy(order="F")
+    sel = [slice(None)] * len(reg)
+    for wire, value in op.controls:
+        sel[reg.position(wire)] = slice(value, value + 1)
+    view = tensor[tuple(sel)]
+    view[...] = np.moveaxis(np.tensordot(matrix, view, axes=(list(range(k, 2 * k)), tpos)), list(range(k)), tpos)
+    return StateVector(reg, tensor.reshape(-1, order="F"))
+
+
+def test_block_products_above_the_bound_match_the_oracles():
+    import quditdicke.sim as sim
+
+    reg = QuditRegister.of_dims([3, 4, 2, 5, 3, 2, 4, 3, 2, 3, 2, 3])  # 311,040 amplitudes
+    rng = np.random.default_rng(12)
+    unitary = scipy.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))[0]
+    ops = [hd(3), hd(3, controls=((0, 1),)), hd_dag(0), dense_unitary((1, 6), unitary)]
+    dense = random_state(reg, rng)
+    # naive_apply walks every amplitude in Python, so it gets a state with a few hundred nonzeros
+    sparse_amps = np.zeros(reg.size, dtype=np.complex128)
+    sparse_amps[rng.choice(reg.size, size=300, replace=False)] = rng.normal(size=300) + 1j * rng.normal(size=300)
+    sparse = StateVector(reg, sparse_amps / np.linalg.norm(sparse_amps))
+    for op in ops:
+        assert _controlled_view(dense.amplitudes, reg, op).size > sim._BLOCK, op.kind
+        fast = apply_gate(dense, op)
+        np.testing.assert_allclose(fast.amplitudes, single_product(dense, op).amplitudes, rtol=0, atol=1e-12)
+        fast = apply_gate(sparse, op)
+        np.testing.assert_allclose(fast.amplitudes, naive_apply(sparse, op).amplitudes, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dims, op",
+    [
+        ([2] * 16, hd(5)),
+        ([3, 4, 2, 5, 3, 2], dense_unitary((3, 1), np.kron(gate_matrix(hd(0), (4,)), gate_matrix(hd_dag(0), (5,))), controls=((0, 2),))),
+        ([4, 3, 2], hd_dag(1, controls=((0, 3), (2, 1)))),
+    ],
+    ids=["at-bound", "two-targets-controlled", "double-control"],
+)
+def test_block_product_at_or_below_the_bound_is_one_product(dims, op):
+    import quditdicke.sim as sim
+
+    reg = QuditRegister.of_dims(dims)
+    state = random_state(reg, np.random.default_rng(13))
+    before = _controlled_view(state.amplitudes, reg, op)
+    assert before.size <= sim._BLOCK
+    tdims = tuple(reg.dims[reg.position(w)] for w in op.targets)
+    rows = math.prod(tdims)
+    expected = gate_matrix(op, tdims) @ before.reshape((rows, -1), order="F")
+    after = _controlled_view(apply_gate(state, op).amplitudes, reg, op).reshape((rows, -1), order="F")
+    assert np.ascontiguousarray(after).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 def test_norm_preservation_and_unitarity_every_kind():
