@@ -6,6 +6,13 @@ multinomials are exact arbitrary-precision integers; amplitude ratios go
 through exact rationals before the final square root, which keeps the
 d=2 reduction of the multilevel family bitwise identical to the spin-1/2
 closed form.
+
+Every quantity folded over the sites of a digit string (the charge sum,
+the product of site weights, the occupation key, a level count) comes
+from one site-by-site ``ufunc.outer`` fold, ``_site_reduce``, in the
+register's F order.  No matrix of all digit strings is built, and site
+weights multiply left to right, so a product below 2^53 is the exact
+integer numerator.
 """
 
 from __future__ import annotations
@@ -95,10 +102,14 @@ class DickeSpecSUD:
         return len(self.kvec)
 
 
-def _digit_matrix(n: int, dim: int) -> np.ndarray:
-    """All length-n digit strings as rows; column p is the site p+1 digit."""
-    idx = np.arange(dim**n, dtype=np.int64)
-    return (idx[:, None] // dim ** np.arange(n, dtype=np.int64)) % dim
+def _site_reduce(ufunc: np.ufunc, site_values: np.ndarray, n: int) -> np.ndarray:
+    """Entry i is site_values[m_1] op ... op site_values[m_n] over the digits of index i,
+    site 1 least significant (F order), folded left to right: each ``ufunc.outer``
+    step joins one more site as the most significant axis."""
+    out = site_values
+    for _ in range(n - 1):
+        out = ufunc.outer(site_values, out).ravel()
+    return out
 
 
 def spin_s_dicke(spec: DickeSpecSpinS) -> StateVector:
@@ -109,10 +120,9 @@ def spin_s_dicke(spec: DickeSpecSpinS) -> StateVector:
     """
     dim = spec.dim
     register = QuditRegister.of_dims([dim] * spec.n)
-    digits = _digit_matrix(spec.n, dim)
-    sums = digits.sum(axis=1)
+    sums = _site_reduce(np.add, np.arange(dim), spec.n)
     site_weights = np.array([binomial(spec.twice_s, m) for m in range(dim)], dtype=float)
-    numerators = site_weights[digits].prod(axis=1)
+    numerators = _site_reduce(np.multiply, site_weights, spec.n)
     denominator = float(binomial(spec.max_charge, spec.k))
     amps = np.where(sums == spec.k, np.sqrt(numerators / denominator), 0.0)
     return StateVector(register, amps.astype(np.complex128))
@@ -120,14 +130,15 @@ def spin_s_dicke(spec: DickeSpecSpinS) -> StateVector:
 
 def sud_dicke(spec: DickeSpecSUD) -> StateVector:
     """Uniform superposition over all arrangements of the occupation multiset."""
-    d = spec.d
-    register = QuditRegister.of_dims([d] * spec.n)
-    digits = _digit_matrix(spec.n, d)
-    mask = np.ones(len(digits), dtype=bool)
-    for level, occupation in enumerate(spec.kvec):
-        mask &= (digits == level).sum(axis=1) == occupation
+    register = QuditRegister.of_dims([spec.d] * spec.n)
+    # occupation key: the occupied levels weigh distinct powers of n+1 and every empty level the
+    # next power, above any key of n occupied sites, so a key equals the target only at kvec
+    occupied = [level for level, k in enumerate(spec.kvec) if k]
+    weights = np.full(spec.d, (spec.n + 1) ** len(occupied), dtype=np.int64)
+    weights[occupied] = (spec.n + 1) ** np.arange(len(occupied), dtype=np.int64)
+    target = int(np.dot(weights, spec.kvec))
     amp = np.sqrt(1.0 / float(multinomial(spec.n, spec.kvec)))
-    amps = np.where(mask, amp, 0.0)
+    amps = np.where(_site_reduce(np.add, weights, spec.n) == target, amp, 0.0)
     return StateVector(register, amps.astype(np.complex128))
 
 
@@ -173,16 +184,23 @@ def gamma_sud(n: int, kvec, i: int, a, m: int) -> float:
     return math.sqrt(float(Fraction(num, den)))
 
 
-def apply_charge_conjugation(state: StateVector, twice_s: int) -> StateVector:
-    """Per-site digit reversal m -> 2s-m; maps charge k to 2sn-k."""
-    dim = twice_s + 1
+def _check_uniform(state: StateVector, dim: int) -> None:
     if any(d != dim for d in state.register.dims):
         raise ValueError(f"state is not a uniform register of dimension {dim}")
+
+
+def apply_charge_conjugation(state: StateVector, twice_s: int) -> StateVector:
+    """Per-site digit reversal m -> 2s-m; maps charge k to 2sn-k."""
+    _check_uniform(state, twice_s + 1)
     # reversing every digit of a uniform-radix index reverses the index
     return StateVector(state.register, state.amplitudes[::-1].copy())
 
 
-def _moments(weights: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+def _moments(state: StateVector, site_charges: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of the charge summed over the sites, site_charges[m] per digit m."""
+    _check_uniform(state, len(site_charges))
+    weights = np.abs(state.amplitudes) ** 2
+    values = _site_reduce(np.add, site_charges, len(state.register)).astype(float)
     mean = float(np.dot(weights, values))
     var = float(np.dot(weights, values**2) - mean**2)
     return mean, var
@@ -190,25 +208,14 @@ def _moments(weights: np.ndarray, values: np.ndarray) -> tuple[float, float]:
 
 def charge_moments_spin_s(state: StateVector, twice_s: int) -> tuple[float, float]:
     """Mean and variance of the total digit-sum charge."""
-    dim = twice_s + 1
-    if any(d != dim for d in state.register.dims):
-        raise ValueError(f"state is not a uniform register of dimension {dim}")
-    n = len(state.register)
-    digits = _digit_matrix(n, dim)
-    weights = np.abs(state.amplitudes) ** 2
-    return _moments(weights, digits.sum(axis=1).astype(float))
+    return _moments(state, np.arange(twice_s + 1))
 
 
 def charge_moments_sud(state: StateVector, d: int, level: int) -> tuple[float, float]:
     """Mean and variance of the occupation count of one level (1 <= level <= d-1)."""
-    if any(dd != d for dd in state.register.dims):
-        raise ValueError(f"state is not a uniform register of dimension {d}")
     if not 1 <= level <= d - 1:
         raise ValueError(f"level {level} outside 1..{d - 1}")
-    n = len(state.register)
-    digits = _digit_matrix(n, d)
-    weights = np.abs(state.amplitudes) ** 2
-    return _moments(weights, (digits == level).sum(axis=1).astype(float))
+    return _moments(state, (np.arange(d) == level).astype(np.int64))
 
 
 @dataclass(frozen=True)

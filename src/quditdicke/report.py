@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sim import Circuit, ImpossibleOutcomeError, StateVector, fidelity, project_on_outcome
+from .sim import Circuit, StateVector, _outcome_block
 
 def logical_depth(circuit: Circuit) -> int:
     groups: list[set] = []
@@ -162,27 +162,32 @@ def spec_fields(circuit: Circuit) -> dict:
 
 
 def verify_circuit(circuit: Circuit, oracle_state: StateVector, judge) -> RunReport:
-    """The one verify path: simulate, project exactly on the accept rule,
-    take the fidelity against the oracle embedded beside the accept digits,
-    and count resources.
+    """The one verify path: simulate, read the accepted block, judge it
+    against the oracle, and count resources.
 
-    ``judge(state, probability, notes)`` turns the exact acceptance
-    probability into the report's (acceptance probability, expected
-    repetitions, seed) and may append notes.  An impossible acceptance
-    gives probability 0 and fidelity 0.
+    P is the squared norm of the block where the accept wires read the
+    accept digits, read as ``project_on_outcome`` reads it; F is
+    |<block / sqrt(P) | oracle>|^2 with every other ancilla at 0, equal to
+    ``fidelity(conditional, embedded_reference(...))`` with no
+    register-sized copy.  ``judge(state, P, notes)`` gives the report's
+    (acceptance probability, expected repetitions, seed) and may append
+    notes.  An impossible acceptance gives probability 0 and fidelity 0.
     """
     start = time.perf_counter()
+    reg, n = circuit.register, len(oracle_state.register)
+    if reg.dims[:n] != oracle_state.register.dims:
+        raise ValueError("oracle register does not match the circuit's system wires")
     state = circuit.run()
     wires, digits = circuit.accept_rule
     notes = list(circuit.meta.get("notes", ()))
-    try:
-        probability, conditional = project_on_outcome(state, wires, digits)
-    except ImpossibleOutcomeError:
-        probability, conditional = 0.0, None
+    _, block, probability = _outcome_block(state, wires, digits)
     fixed = dict(zip(wires, digits))
-    fid = 0.0 if conditional is None else fidelity(conditional, embedded_reference(circuit, oracle_state, fixed))
+    # the block's axes are the unlisted wires in register order: keep the system, pin the other ancillas at 0
+    conditional = block[tuple(slice(None) if p < n else 0 for p, w in enumerate(reg.ids) if w not in fixed)].ravel(order="F")
+    oracle = oracle_state.tensor()[tuple(fixed.get(w, slice(None)) for w in reg.ids[:n])].ravel(order="F")
+    fid = float(abs(np.vdot(conditional / math.sqrt(probability), oracle)) ** 2) if probability else 0.0
     accepted, repetitions, seed = judge(state, probability, notes)
-    gate_count, depth, census = count_resources(circuit, len(oracle_state.register))
+    gate_count, depth, census = count_resources(circuit, n)
     return RunReport(
         spec=spec_fields(circuit),
         acceptance_probability=accepted,

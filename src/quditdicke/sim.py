@@ -38,10 +38,11 @@ The same product joins the last groups into the full register state that
 The readout reads the state once and allocates nothing register-sized
 except the collapsed state it returns.  ``outcome_distribution`` is one
 ``np.einsum`` that contracts the amplitudes' float64 (re, im) parts with
-themselves onto the listed wires; ``project_on_outcome`` takes the
-probability of the selected block from one ``np.vdot`` and divides the
-block straight into the zeroed output.  ``sample_measure`` and the shot
-counts of ``qpe.run_postselected`` share one sampling path,
+themselves onto the listed wires.  ``_outcome_block`` views the block
+where the listed wires read fixed digits, with its probability from one
+``np.vdot``; ``project_on_outcome`` divides it straight into the zeroed
+output and ``report.verify_circuit`` judges it in place.  ``sample_measure``
+and the shot counts of ``qpe.run_postselected`` share one sampling path,
 ``_draw_outcomes``: ``default_rng(seed).choice`` on the exact marginal,
 drawn in blocks of ``_BLOCK`` shots that continue one generator stream.
 An empty wire list is the certain outcome, digits () with probability the
@@ -570,15 +571,10 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def project_on_outcome(state: StateVector, wires: Sequence, digits: Sequence[int]) -> tuple[float, StateVector]:
-    """Exact projection of the given wires onto fixed digits.
-
-    Returns (probability, conditional state).  The conditional state keeps
-    the full register shape with the measured wires pinned to ``digits``.
-    A zero-probability outcome raises ImpossibleOutcomeError rather than
-    producing a NaN state.  With no wires the outcome is certain: the
-    probability is the squared norm.
-    """
+def _outcome_block(state: StateVector, wires: Sequence, digits: Sequence[int]):
+    """(select, block, probability) where ``wires`` read ``digits``: ``select`` views a register-sized
+    vector there, over the other wires in register order; ``block`` is the state's view, ``probability``
+    its squared norm."""
     reg = state.register
     wires = tuple(wires)
     digits = tuple(int(v) for v in digits)
@@ -591,15 +587,31 @@ def project_on_outcome(state: StateVector, wires: Sequence, digits: Sequence[int
         if not 0 <= v < reg.dim(w):
             raise ValueError(f"digit {v} out of range for wire {w!r}")
     order = pos + [p for p in range(len(reg)) if p not in pos]  # measured axes first
-    block = digits + (Ellipsis,)  # a 0-d view, not a scalar, when every wire is measured
-    sub = state.amplitudes.reshape(reg.dims, order="F").transpose(order)[block]
-    flat = sub.ravel(order="K")  # no copy when the block is contiguous
-    probability = float(np.vdot(flat, flat).real)
+    index = digits + (Ellipsis,)  # a 0-d view, not a scalar, when every wire is measured
+
+    def select(amplitudes: np.ndarray) -> np.ndarray:
+        return amplitudes.reshape(reg.dims, order="F").transpose(order)[index]
+
+    block = select(state.amplitudes)
+    flat = block.ravel(order="K")  # no copy when the block is contiguous
+    return select, block, float(np.vdot(flat, flat).real)
+
+
+def project_on_outcome(state: StateVector, wires: Sequence, digits: Sequence[int]) -> tuple[float, StateVector]:
+    """Exact projection of the given wires onto fixed digits.
+
+    Returns (probability, conditional state).  The conditional state keeps
+    the full register shape with the measured wires pinned to ``digits``.
+    A zero-probability outcome raises ImpossibleOutcomeError rather than
+    producing a NaN state.  With no wires the outcome is certain: the
+    probability is the squared norm.
+    """
+    select, block, probability = _outcome_block(state, wires, digits)
     if probability == 0.0:
-        raise ImpossibleOutcomeError(f"outcome {digits} on wires {wires} is impossible")
-    cond = np.zeros(reg.size, dtype=np.complex128)
-    np.divide(sub, math.sqrt(probability), out=cond.reshape(reg.dims, order="F").transpose(order)[block])
-    return probability, StateVector(reg, cond)
+        raise ImpossibleOutcomeError(f"outcome {tuple(int(v) for v in digits)} on wires {tuple(wires)} is impossible")
+    cond = np.zeros(state.register.size, dtype=np.complex128)
+    np.divide(block, math.sqrt(probability), out=select(cond))
+    return probability, StateVector(state.register, cond)
 
 
 def outcome_distribution(state: StateVector, wires: Sequence) -> np.ndarray:

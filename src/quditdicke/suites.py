@@ -6,11 +6,12 @@ detail lines.  The CLI ``verify`` subcommand and tests/test_acceptance.py
 both drive these functions, so the command line and the test suite can
 never disagree about what passing means.
 
-Every case goes through one path.  ``_case(spec, method)`` is the only
+Every case goes through one path.  ``_case(spec, methods)`` is the only
 map from a family to its detail-line name, builder, oracle and closed-form
-acceptance probability.  A criterion that simulates skips each case whose
-register exceeds the cap, and ``check_case`` is the only code that decides
-whether a simulated case passes; ``quditdicke prepare`` calls it too.
+acceptance probability, evaluated once per spec for all of its methods.  A
+criterion that simulates skips each case whose register exceeds the cap,
+and ``check_case`` is the only code that decides whether a simulated case
+passes; ``quditdicke prepare`` calls it too.
 """
 
 from __future__ import annotations
@@ -125,26 +126,29 @@ def _bond_factorization(spec):
     )
 
 
-def _case(spec, method: str):
-    """(name, circuit, oracle, expected) of one spec under one method: the detail-line
-    name, the built circuit, the oracle and the closed-form acceptance probability."""
+def _case(spec, methods):
+    """(name, circuit, oracle, expected) of one spec under each of ``methods`` in turn: the detail-line name,
+    the built circuit, the oracle and the closed-form acceptance probability, each evaluated once per spec."""
     family, label = _family(spec)
     spin = family == "spin-s"
     oracle = spin_s_dicke(spec) if spin else sud_dicke(spec)
-    if method == "sequential":
-        return f"{family} {label}", (build_sequential_spin_s if spin else build_sequential_sud)(spec), oracle, 1.0
-    closed_form = probability_spin_s(spec.n, spec.twice_s, spec.k) if spin else probability_sud(spec.n, spec.kvec)
-    return f"{family} {method} {label}", BUILDERS[family][method](spec), oracle, closed_form.probability
+    closed_form = None
+    for method in methods:
+        if method == "sequential":
+            yield f"{family} {label}", (build_sequential_spin_s if spin else build_sequential_sud)(spec), oracle, 1.0
+        else:
+            closed_form = closed_form or (probability_spin_s(spec.n, spec.twice_s, spec.k) if spin else probability_sud(spec.n, spec.kvec))
+            yield f"{family} {method} {label}", BUILDERS[family][method](spec), oracle, closed_form.probability
 
 
 def _cases(pairs, max_amplitudes: int, skips: list[str]):
-    """``_case`` of each (spec, method) pair in order, or a skip line when its register exceeds the cap."""
-    for spec, method in pairs:
-        name, circuit, oracle, expected = _case(spec, method)
-        if circuit.register.size > max_amplitudes:
-            skips.append(f"{name}: register size {circuit.register.size}")
-        else:
-            yield name, circuit, oracle, expected
+    """``_case`` of each run of pairs of one spec, in order, or a skip line when a register exceeds the cap."""
+    for spec, group in itertools.groupby(pairs, key=operator.itemgetter(0)):
+        for name, circuit, oracle, expected in _case(spec, [method for _, method in group]):
+            if circuit.register.size > max_amplitudes:
+                skips.append(f"{name}: register size {circuit.register.size}")
+            else:
+                yield name, circuit, oracle, expected
 
 
 def check_case(name: str, circuit, oracle, expected: float | None, shots: int = 0, seed: int | None = None):

@@ -24,9 +24,9 @@ from quditdicke.reference import (
     spin_s_dicke,
     sud_dicke,
 )
-from quditdicke.report import embedded_reference
+from quditdicke.report import embedded_reference, verify_circuit
 from quditdicke.sequential import build_sequential_spin_s, build_sequential_sud
-from quditdicke.sim import ATOL_PROBABILITY, FIDELITY_ACCEPT, fidelity, project_on_outcome
+from quditdicke.sim import ATOL_PROBABILITY, FIDELITY_ACCEPT, Circuit, fidelity, project_on_outcome, xd
 from quditdicke.suites import (
     ALL_CRITERIA,
     DEFAULT_MAX_AMPLITUDES,
@@ -117,14 +117,63 @@ def spec_method_cases(draw):
     return circuit, oracle, 1.0 if method == "sequential" else closed_form
 
 
+def readouts(circuit, oracle):
+    """(P, F) of verify_circuit's block readout and of the register-sized cross-check:
+    project_on_outcome, then fidelity against embedded_reference."""
+    report = verify_circuit(circuit, oracle, lambda state, probability, notes: (probability, 0.0, None))
+    wires, digits = circuit.accept_rule
+    probability, conditional = project_on_outcome(circuit.run(), wires, digits)
+    embedded = embedded_reference(circuit, oracle, dict(zip(wires, digits)))
+    return (report.acceptance_probability, report.conditional_fidelity), (probability, fidelity(conditional, embedded))
+
+
+def assert_same_readout(circuit, oracle):
+    (block_p, block_f), (full_p, full_f) = readouts(circuit, oracle)
+    assert block_p.hex() == full_p.hex()
+    assert abs(block_f - full_f) <= 1e-12
+    return full_p, full_f
+
+
 @settings(deadline=None, max_examples=100)
 @given(spec_method_cases())
 def test_random_spec_prepares_its_oracle(case):
     circuit, oracle, closed_form = case
-    wires, digits = circuit.accept_rule
-    probability, conditional = project_on_outcome(circuit.run(), wires, digits)
+    probability, fid = assert_same_readout(circuit, oracle)
     assert abs(probability - closed_form) <= ATOL_PROBABILITY
-    assert fidelity(conditional, embedded_reference(circuit, oracle, dict(zip(wires, digits)))) >= FIDELITY_ACCEPT
+    assert fid >= FIDELITY_ACCEPT
+
+
+SMALL_SPECS = (DickeSpecSpinS(2, 2, 1), DickeSpecSUD(3, (2, 1)))
+
+
+@pytest.mark.parametrize("method", ("sequential", "qpe-log", "hadamard", "fanout"))
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=("spin-s", "sud"))
+def test_block_readout_matches_the_projected_state(spec, method):
+    spin = isinstance(spec, DickeSpecSpinS)
+    family = "spin-s" if spin else "sud"
+    if method == "sequential":
+        circuit = (build_sequential_spin_s if spin else build_sequential_sud)(spec)
+    else:
+        circuit = BUILDERS[family][method](spec)
+    assert_same_readout(circuit, spin_s_dicke(spec) if spin else sud_dicke(spec))
+
+
+def test_block_readout_sees_an_ancilla_outside_the_accept_rule():
+    spec = DickeSpecSpinS(2, 2, 1)
+    built = BUILDERS["spin-s"]["fanout"](spec)
+    copy = built.register.ids[spec.n]
+    assert copy not in built.accept_rule[0]
+    # a copy wire left at digit 1: the accept wires still read their digits, but no amplitude has every other ancilla at 0
+    circuit = Circuit(built.register, built.ops + (xd(copy),), built.accept_rule, built.meta)
+    (block_p, block_f), (full_p, full_f) = readouts(circuit, spin_s_dicke(spec))
+    assert block_p == full_p > 0.0
+    assert block_f < FIDELITY_ACCEPT and full_f < FIDELITY_ACCEPT
+
+
+def test_block_readout_rejects_an_oracle_on_other_dims():
+    circuit = BUILDERS["spin-s"]["qpe-log"](DickeSpecSpinS(2, 2, 1))
+    with pytest.raises(ValueError):
+        verify_circuit(circuit, spin_s_dicke(DickeSpecSpinS(2, 1, 1)), lambda state, probability, notes: (probability, 0.0, None))
 
 
 def test_every_criterion_that_simulates_skips_above_the_cap():

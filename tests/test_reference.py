@@ -20,7 +20,29 @@ from quditdicke.reference import (
     spin_s_dicke,
     sud_dicke,
 )
-from quditdicke.sim import StateVector, fidelity
+from quditdicke.sim import QuditRegister, StateVector, fidelity
+from quditdicke.suites import spin_s_grid, sud_grid
+
+
+def digit_strings(n: int, dim: int) -> list[tuple[int, ...]]:
+    register = QuditRegister.of_dims([dim] * n)
+    return [register.digits_of(index) for index in range(register.size)]
+
+
+def spin_s_by_index(spec: DickeSpecSpinS, strings) -> np.ndarray:
+    """The closed form entry by entry, from exact integer numerators."""
+    denominator = math.comb(spec.max_charge, spec.k)
+    amps = [
+        math.sqrt(float(math.prod(math.comb(spec.twice_s, m) for m in digits)) / float(denominator)) if sum(digits) == spec.k else 0.0
+        for digits in strings
+    ]
+    return np.array(amps, dtype=np.complex128)
+
+
+def sud_by_index(spec: DickeSpecSUD, strings) -> np.ndarray:
+    amp = math.sqrt(1.0 / float(multinomial(spec.n, spec.kvec)))
+    amps = [amp if tuple(digits.count(level) for level in range(spec.d)) == spec.kvec else 0.0 for digits in strings]
+    return np.array(amps, dtype=np.complex128)
 
 
 def test_binomial_convention():
@@ -137,6 +159,51 @@ def test_gamma_rows_complete():
         i = sum(a) + 1
         total = sum(gamma_sud(3, (1, 1, 1), i, a, m) ** 2 for m in range(3))
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def test_oracles_match_the_closed_form_entry_by_entry():
+    strings = {}
+    for spec in spin_s_grid(3, 5):
+        expected = spin_s_by_index(spec, strings.setdefault((spec.n, spec.dim), digit_strings(spec.n, spec.dim)))
+        assert spin_s_dicke(spec).amplitudes.tobytes() == expected.tobytes(), spec
+    for spec in sud_grid(4, 5):
+        expected = sud_by_index(spec, strings.setdefault((spec.n, spec.d), digit_strings(spec.n, spec.d)))
+        assert sud_dicke(spec).amplitudes.tobytes() == expected.tobytes(), spec
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [DickeSpecSpinS(15, 1, 7), DickeSpecSUD(1, (0,) * 63 + (1,)), DickeSpecSUD(2, (0,) * 44 + (1, 1))],
+    ids=["spin-half-n15-k7", "sud-n1-d64", "sud-n2-d46"],
+)
+def test_pinned_oracle_matches_the_closed_form_entry_by_entry(spec):
+    # with many empty levels, a radix-(n+1) key over every level would overflow int64
+    if isinstance(spec, DickeSpecSpinS):
+        expected = spin_s_by_index(spec, digit_strings(spec.n, spec.dim))
+        state = spin_s_dicke(spec)
+    else:
+        expected = sud_by_index(spec, digit_strings(spec.n, spec.d))
+        state = sud_dicke(spec)
+    assert state.amplitudes.tobytes() == expected.tobytes()
+
+
+def test_charge_moments_match_an_index_by_index_count():
+    rng = np.random.default_rng(5)
+    for n, dim in [(4, 3), (3, 4), (6, 2)]:
+        register = QuditRegister.of_dims([dim] * n)
+        amps = rng.normal(size=register.size) + 1j * rng.normal(size=register.size)
+        state = StateVector(register, amps / np.linalg.norm(amps))
+        weights = np.abs(state.amplitudes) ** 2
+        strings = digit_strings(n, dim)
+
+        def moments(values):
+            values = np.array(values, dtype=float)
+            mean = float(np.dot(weights, values))
+            return mean, float(np.dot(weights, values**2) - mean**2)
+
+        assert charge_moments_spin_s(state, dim - 1) == moments([sum(digits) for digits in strings])
+        for level in range(1, dim):
+            assert charge_moments_sud(state, dim, level) == moments([digits.count(level) for digits in strings])
 
 
 def test_charge_conjugation():
