@@ -644,25 +644,31 @@ def outcome_index(register: QuditRegister, wires: Sequence, digits: Sequence[int
 
 
 def acceptance_probability(state: StateVector, accept_rule: tuple) -> float:
-    """Exact probability that the accept wires read the accept digits."""
-    wires, digits = accept_rule
-    return float(outcome_distribution(state, wires)[outcome_index(state.register, wires, digits)])
+    """Exact probability that the accept wires read the accept digits: the accepted block's squared
+    norm, the one readout of ``project_on_outcome`` and of the verify path."""
+    return _outcome_block(state, *accept_rule)[2]
 
 
 def _draw_outcomes(state: StateVector, wires: Sequence, seed: int, shots: int | None = None):
     """Yield outcome indices over ``wires`` drawn from the exact marginal by one ``default_rng(seed)``.
 
     One index when ``shots`` is None, else arrays of at most _BLOCK indices,
-    ``shots`` in all: the same draws as one ``choice(size=shots)``.
+    ``shots`` in all: the same draws as one ``choice(size=shots)``, by
+    choice's own inverse-CDF algorithm without its per-call validation.
     The one sampling path of ``sample_measure`` and of shot counts.
     """
     probs = outcome_distribution(state, wires)
-    choose = functools.partial(np.random.default_rng(seed).choice, probs.size, p=probs / probs.sum())
+    total = probs.sum()
+    if not total > 0.0:  # choice's own check, kept: a zero or NaN norm has no distribution
+        raise ValueError(f"cannot sample a state of squared norm {total!r}")
+    cdf = (probs / total).cumsum()
+    cdf /= cdf[-1]
+    uniform = np.random.default_rng(seed).random
     if shots is None:
-        yield choose()
+        yield cdf.searchsorted(uniform(), side="right")
         return
     for start in range(0, shots, _BLOCK):
-        yield choose(size=min(_BLOCK, shots - start))
+        yield cdf.searchsorted(uniform(min(_BLOCK, shots - start)), side="right")
 
 
 def sample_measure(state: StateVector, wires: Sequence, seed: int) -> tuple[tuple[int, ...], StateVector]:

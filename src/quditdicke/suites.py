@@ -12,6 +12,11 @@ acceptance probability, evaluated once per spec for all of its methods.  A
 criterion that simulates skips each case whose register exceeds the cap,
 and ``check_case`` is the only code that decides whether a simulated case
 passes; ``quditdicke prepare`` calls it too.
+
+Criterion 8 checks the sequential gate counts.  Within one ``run_all`` it
+counts the circuits that criteria 1 and 2 built moments earlier: ``_case``
+records the op count of each sequential circuit it builds, for that call
+only, and criterion 8 builds a circuit itself only when it runs alone.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import itertools
 import math
 import operator
 from collections import defaultdict
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -60,6 +66,9 @@ from .sim import (
 
 DEFAULT_MAX_AMPLITUDES = 10**6
 _PROBABILISTIC = tuple(BUILDERS["spin-s"])  # method names, as in qpe.BUILDERS
+# len(circuit.ops) by (builder, spec) of each sequential circuit ``_case`` built in the running ``run_all``,
+# None outside it; ints only, so no circuit outlives its case
+_OP_COUNTS: ContextVar[dict | None] = ContextVar("_OP_COUNTS", default=None)
 
 
 def spin_s_grid(max_twice_s: int, max_n: int) -> Iterator[DickeSpecSpinS]:
@@ -135,7 +144,12 @@ def _case(spec, methods):
     closed_form = None
     for method in methods:
         if method == "sequential":
-            yield f"{family} {label}", (build_sequential_spin_s if spin else build_sequential_sud)(spec), oracle, 1.0
+            builder = build_sequential_spin_s if spin else build_sequential_sud
+            circuit = builder(spec)
+            counts = _OP_COUNTS.get()
+            if counts is not None:
+                counts[builder, spec] = len(circuit.ops)
+            yield f"{family} {label}", circuit, oracle, 1.0
         else:
             closed_form = closed_form or (probability_spin_s(spec.n, spec.twice_s, spec.k) if spin else probability_sud(spec.n, spec.kvec))
             yield f"{family} {method} {label}", BUILDERS[family][method](spec), oracle, closed_form.probability
@@ -314,23 +328,28 @@ def sud_expected_gate_count(spec: DickeSpecSUD) -> int:
     return 3 * spec.d * sum(levels.cardinality(i - 1) for i in range(1, spec.n + 1))
 
 
+def _op_count(builder, spec) -> int:
+    """``len(builder(spec).ops)``, as ``_case`` recorded it in the running ``run_all``, else from a fresh build."""
+    counts = _OP_COUNTS.get()
+    count = None if counts is None else counts.get((builder, spec))
+    return len(builder(spec).ops) if count is None else count
+
+
 def criterion_resource_scaling(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> CriterionResult:
     description = "gate counts match the exact formulas; growth and constant-depth accounting hold"
     failures: list[str] = []
     for spec in spin_s_grid(3, 5):
         if not 0 < spec.k < spec.max_charge:
             continue
-        circuit = build_sequential_spin_s(spec)
-        expected = spin_s_expected_gate_count(spec)
-        if len(circuit.ops) != expected:
-            failures.append(f"spin-s count n={spec.n} 2s={spec.twice_s} k={spec.k}: {len(circuit.ops)} vs {expected}")
+        count, expected = _op_count(build_sequential_spin_s, spec), spin_s_expected_gate_count(spec)
+        if count != expected:
+            failures.append(f"spin-s count n={spec.n} 2s={spec.twice_s} k={spec.k}: {count} vs {expected}")
     for spec in sud_grid(4, 5):
         if sum(1 for v in spec.kvec if v > 0) < 2:
             continue
-        circuit = build_sequential_sud(spec)
-        expected = sud_expected_gate_count(spec)
-        if len(circuit.ops) != expected:
-            failures.append(f"sud count n={spec.n} kvec={spec.kvec}: {len(circuit.ops)} vs {expected}")
+        count, expected = _op_count(build_sequential_sud, spec), sud_expected_gate_count(spec)
+        if count != expected:
+            failures.append(f"sud count n={spec.n} kvec={spec.kvec}: {count} vs {expected}")
     # growth along s=1/2, k=floor(n/2): gate count stays within a constant multiple of s*k*n
     ratios = []
     for n in range(3, 9):
@@ -395,4 +414,9 @@ ALL_CRITERIA = (
 
 
 def run_all(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> list[CriterionResult]:
-    return [criterion.run(max_amplitudes) for criterion in ALL_CRITERIA]
+    """Every criterion in order, with one op-count record for the call (see ``_op_count``)."""
+    token = _OP_COUNTS.set({})
+    try:
+        return [criterion.run(max_amplitudes) for criterion in ALL_CRITERIA]
+    finally:
+        _OP_COUNTS.reset(token)

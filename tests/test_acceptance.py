@@ -9,6 +9,7 @@ detail lines at the default cap: an unindented line names a criterion and
 each indented line below it is one detail line.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,8 +32,11 @@ from quditdicke.suites import (
     ALL_CRITERIA,
     DEFAULT_MAX_AMPLITUDES,
     criterion_parameter_optimality,
+    criterion_resource_scaling,
     criterion_sampling,
+    run_all,
     spin_s_grid,
+    sud_grid,
 )
 
 
@@ -213,3 +217,65 @@ def test_criteria_fail_on_a_wrong_oracle(monkeypatch, ident, spin_s_cases):
     # every spin-s case that ran fails on its fidelity alone, and no other case fails
     assert all(line.startswith("spin-s ") and ": fidelity " in line for line in failures)
     assert len(failures) == spin_s_cases - sum(line.startswith("skipped: spin-s ") for line in skipped)
+
+
+def count_sequential_builds(monkeypatch):
+    """Wrap both sequential builders of ``suites`` so that each build counts its spec."""
+    from quditdicke import suites
+
+    built = Counter()
+
+    def counting(build):
+        def wrapped(spec):
+            built[spec] += 1
+            return build(spec)
+
+        return wrapped
+
+    monkeypatch.setattr(suites, "build_sequential_spin_s", counting(suites.build_sequential_spin_s))
+    monkeypatch.setattr(suites, "build_sequential_sud", counting(suites.build_sequential_sud))
+    return built
+
+
+def only_criteria(monkeypatch, *idents):
+    from quditdicke import suites
+
+    monkeypatch.setattr(suites, "ALL_CRITERIA", tuple(c for c in ALL_CRITERIA if c.ident in idents))
+
+
+def test_run_all_builds_each_sequential_circuit_once(monkeypatch):
+    built = count_sequential_builds(monkeypatch)
+    only_criteria(monkeypatch, "criterion-1", "criterion-2", "criterion-8")
+    # a cap of one amplitude skips every simulation; criteria 1 and 2 still build every case
+    results = run_all(1)
+    assert [r.ident for r in results] == ["criterion-1", "criterion-2", "criterion-8"]
+    assert results[2].passed and results[2].details == []
+    assert set(built) == set(spin_s_grid(3, 5)) | set(sud_grid(4, 5))
+    assert set(built.values()) == {1}
+    # the record lives only for that call: criterion 8 run alone builds its 230 circuits again
+    built.clear()
+    assert criterion_resource_scaling().passed
+    assert len(built) == 230 and set(built.values()) == {1}
+
+
+def test_resource_count_catches_a_dropped_op_under_run_all_and_alone(monkeypatch):
+    from quditdicke import suites
+
+    exact = suites.build_sequential_spin_s
+    target = DickeSpecSpinS(3, 2, 2)
+
+    def drops_last_op(spec):
+        circuit = exact(spec)
+        if spec != target:
+            return circuit
+        return Circuit(circuit.register, circuit.ops[:-1], circuit.accept_rule, circuit.meta)
+
+    monkeypatch.setattr(suites, "build_sequential_spin_s", drops_last_op)
+    expected = suites.spin_s_expected_gate_count(target)
+    line = f"spin-s count n=3 2s=2 k=2: {expected - 1} vs {expected}"
+    alone = criterion_resource_scaling()
+    assert not alone.passed and alone.details == [line]
+    only_criteria(monkeypatch, "criterion-1", "criterion-8")
+    under_run_all = run_all(1)[1]
+    assert under_run_all.ident == "criterion-8"
+    assert not under_run_all.passed and under_run_all.details == [line]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quditdicke.qpe import (
+    BUILDERS,
     ancilla_bits_spin_s,
     build_fanout_const_spin_s,
     build_fanout_const_sud,
@@ -30,6 +31,7 @@ from quditdicke.reference import (
 from quditdicke.sim import (
     QuditRegister,
     StateVector,
+    acceptance_probability,
     apply_gate,
     fidelity,
     new_basis_state,
@@ -490,11 +492,19 @@ def test_sampling_notes_are_deterministic():
     assert abs(frequency - 0.5) < 5 * sigma
 
 
-@pytest.mark.parametrize("seed", [0, 7, 1234])
-def test_shot_counts_in_blocks_equal_one_draw(seed):
+@pytest.mark.parametrize(
+    "spec, seed",
+    [
+        pytest.param(DickeSpecSpinS(2, 1, 1), 0, id="0"),
+        pytest.param(DickeSpecSpinS(2, 1, 1), 7, id="7"),
+        pytest.param(DickeSpecSpinS(2, 1, 1), 1234, id="1234"),
+        # the batch of the benchmark's sample workload
+        pytest.param(DickeSpecSpinS(8, 1, 4), 11, id="n8-k4-11"),
+    ],
+)
+def test_shot_counts_in_blocks_equal_one_draw(spec, seed):
     from quditdicke.sim import _BLOCK, _draw_outcomes, outcome_index
 
-    spec = DickeSpecSpinS(2, 1, 1)
     circuit = build_qpe_log_spin_s(spec)
     state = circuit.run()
     wires, digits = circuit.accept_rule
@@ -507,6 +517,16 @@ def test_shot_counts_in_blocks_equal_one_draw(seed):
         assert np.array_equal(np.concatenate(blocks), draws)
         report = run_postselected(circuit, spin_s_dicke(spec), shots=shots, seed=seed)
         assert report.sampled_frequency == np.count_nonzero(draws == accept) / shots
+
+
+@pytest.mark.parametrize("method", ("qpe-log", "hadamard"))
+def test_acceptance_probability_is_the_verify_readout(method):
+    from quditdicke.suites import spin_s_grid
+
+    for spec in spin_s_grid(2, 4):
+        circuit = BUILDERS["spin-s"][method](spec)
+        report = run_postselected(circuit, spin_s_dicke(spec))
+        assert acceptance_probability(circuit.run(), circuit.accept_rule) == report.acceptance_probability
 
 
 def test_shot_counts_hold_one_block_of_draws():
@@ -525,8 +545,8 @@ def test_shot_counts_hold_one_block_of_draws():
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
         finally:
             tracemalloc.stop()
-    # Generator.choice holds one block's float64 uniforms beside its int64 indices; all the
-    # shots at once would hold 4 * _BLOCK + 1 of each
+    # a block's float64 uniforms are held beside its int64 indices; all the shots at once
+    # would hold 4 * _BLOCK + 1 of each
     assert peaks[1] - peaks[0] < 2 * 8 * _BLOCK + 2**16
 
 

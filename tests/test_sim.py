@@ -690,6 +690,27 @@ def test_sample_measure_frequency():
     assert abs(hits / shots - 0.5) < 0.01
 
 
+def test_single_draws_equal_generator_choice():
+    from quditdicke.sim import _draw_outcomes
+
+    plus = StateVector(QuditRegister.of_dims([2]), np.array([1.0, 1.0]) / math.sqrt(2))
+    p = outcome_distribution(plus, (0,))
+    p = p / p.sum()
+    for seed in range(3000):
+        assert int(next(_draw_outcomes(plus, (0,), seed))) == int(np.random.default_rng(seed).choice(2, p=p))
+
+
+@pytest.mark.parametrize("amplitude", [0.0, math.nan])
+def test_sampling_a_state_without_a_norm_is_rejected(amplitude):
+    from quditdicke.sim import _draw_outcomes
+
+    state = StateVector(QuditRegister.of_dims([2, 2]), np.full(4, amplitude, dtype=np.complex128))
+    with pytest.raises(ValueError, match="squared norm"):
+        sample_measure(state, (0,), seed=1)
+    with pytest.raises(ValueError, match="squared norm"):
+        list(_draw_outcomes(state, (0,), 1, 5))
+
+
 def test_circuit_validates_ops_and_accept_rule():
     reg = QuditRegister.of_dims([2, 2])
     with pytest.raises(ValueError):
