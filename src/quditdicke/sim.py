@@ -659,7 +659,7 @@ def _draw_outcomes(state: StateVector, wires: Sequence, seed: int, shots: int | 
     """
     probs = outcome_distribution(state, wires)
     total = probs.sum()
-    if not total > 0.0:  # choice's own check, kept: a zero or NaN norm has no distribution
+    if not total > 0.0:  # a zero or NaN norm has no distribution to draw from
         raise ValueError(f"cannot sample a state of squared norm {total!r}")
     cdf = (probs / total).cumsum()
     cdf /= cdf[-1]
