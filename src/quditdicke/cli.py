@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .levelsets import build_level_sets
-from .qpe import BUILDERS
+from .qpe import BUILDERS, expected_repetitions
 from .reference import DickeSpecSpinS, DickeSpecSUD, spin_s_dicke, sud_dicke
 from .report import count_resources
 from .sequential import build_sequential_spin_s, build_sequential_sud
@@ -216,8 +216,7 @@ def _cmd_sweep(args) -> int:
         _cap_check(circuit, args.max_amplitudes)
         probability = acceptance_probability(circuit.run(), circuit.accept_rule)
         gates, depth, _ = count_resources(circuit)
-        reps = repr(1.0 / probability) if probability > 0 else "inf"
-        lines.append(f"{args.param},{value!r},{probability!r},{reps},{gates},{depth}")
+        lines.append(f"{args.param},{value!r},{probability!r},{expected_repetitions(probability)!r},{gates},{depth}")
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -23,15 +23,18 @@ from .reference import DickeSpecSpinS, DickeSpecSUD, binomial
 from .report import RunReport, verify_circuit
 from .sequential import rotation_cascade_angles
 from .sim import (
+    ATOL_PROBABILITY,
     Circuit,
     GateOp,
     QuditRegister,
     StateVector,
     _draw_outcomes,
     _fourier,
+    acceptance_probability,
     dense_unitary,
     hd,
     hd_dag,
+    outcome_distribution,
     outcome_index,
     phase_k,
     rot,
@@ -67,9 +70,9 @@ def _system_wires(n: int) -> list[str]:
     return [f"s{j}" for j in range(1, n + 1)]
 
 
-def _prep_ops(site_amps: np.ndarray, wires) -> list[GateOp]:
+def _prep_ops(site_amps: np.ndarray, wires, controls=()) -> list[GateOp]:
     angles = rotation_cascade_angles(site_amps)
-    return [rot(w, m, theta) for w in wires for m, theta in enumerate(angles)]
+    return [rot(w, m, theta, controls) for w in wires for m, theta in enumerate(angles)]
 
 
 def _product_state(n: int, site_amps: np.ndarray) -> tuple[StateVector, list[GateOp]]:
@@ -143,6 +146,39 @@ def _circuit(readout: ChargeReadout, method: str, ancillas, ops, accept_rule, no
     wires = [(w, readout.site_amps.size) for w in system] + list(ancillas)
     meta = {**readout.meta, "method": method, "notes": list(notes)}
     return Circuit(QuditRegister(wires), _prep_ops(readout.site_amps, system) + ops, accept_rule, meta)
+
+
+def _boost_sweep(circuit: Circuit, site_amps) -> np.ndarray:
+    """Acceptance probability of a built probabilistic circuit at each boost in ``site_amps``, from one run.
+
+    Every circuit ``_circuit`` builds starts with the n(d-1) cascade Rots
+    of its boost, and no later op depends on the boost.  With L > 1 boosts
+    the sweep circuit is the built register plus a ``grid`` wire of
+    dimension L: ``hd("grid")`` spreads it evenly over its L levels, the
+    cascade of boost b acts under the control ("grid", b), and the built
+    circuit's remaining ops follow unchanged.  Level b of the grid then
+    carries the state prepared at boost b with weight 1/L, so the marginal
+    over the accept wires and the grid at the accept digits, times L, is
+    every acceptance probability at once; each is within a few ulps of the
+    same point simulated alone.  With L = 1 there is no grid wire and no
+    control: the ops are those the builder emits at that boost.  The run
+    holds L times the built register, so a caller under an amplitude cap
+    splits its boosts into sweeps of at most cap // register size.
+    ``quditdicke sweep --param p`` keeps one circuit per point: its CSV
+    prints each probability with ``repr``, whose last bits a sweep moves.
+    """
+    reg, n = circuit.register, circuit.meta["n"]
+    system, levels = reg.ids[:n], len(site_amps)
+    wires, digits = circuit.accept_rule
+    rest = list(circuit.ops[n * (reg.dims[0] - 1) :])
+    if levels == 1:
+        state = Circuit(reg, _prep_ops(site_amps[0], system) + rest).run()
+        return np.array([acceptance_probability(state, circuit.accept_rule)])
+    register = QuditRegister(list(zip(reg.ids, reg.dims)) + [("grid", levels)])
+    prep = [op for b, amps in enumerate(site_amps) for op in _prep_ops(amps, system, controls=(("grid", b),))]
+    state = Circuit(register, [hd("grid")] + prep + rest).run()
+    marginal = outcome_distribution(state, wires + ("grid",)).reshape(levels, -1)  # the grid is most significant
+    return marginal[:, outcome_index(reg, wires, digits)] * levels
 
 
 def _build_qpe_log(readout: ChargeReadout) -> Circuit:
@@ -243,6 +279,12 @@ BUILDERS = {
 }
 
 
+def expected_repetitions(probability: float) -> float:
+    """Mean number of runs until one accepts, 1/P; inf when P is at or below ATOL_PROBABILITY, which
+    counts as impossible, so rounding residue of a branch that is zero in exact arithmetic reads as 0."""
+    return math.inf if probability <= ATOL_PROBABILITY else 1.0 / probability
+
+
 def run_postselected(circuit: Circuit, oracle_state: StateVector, shots: int = 0, seed: int | None = None) -> RunReport:
     """Simulate, project exactly on the accept rule, and report.
 
@@ -257,7 +299,8 @@ def run_postselected(circuit: Circuit, oracle_state: StateVector, shots: int = 0
 
     def judge(state, probability, notes):
         nonlocal frequency
-        if probability == 0.0:
+        repetitions = expected_repetitions(probability)
+        if repetitions == math.inf:
             notes.append("acceptance has probability 0: reported as failure")
         if shots:
             wires, digits = circuit.accept_rule
@@ -266,7 +309,7 @@ def run_postselected(circuit: Circuit, oracle_state: StateVector, shots: int = 0
             hits = sum(map(lambda block: int(np.count_nonzero(block == accept)), draws))  # frees each block before the next draw
             frequency = float(hits) / float(shots)
             notes.append(f"sampled acceptance frequency {frequency!r} over {shots} shots")
-        return probability, math.inf if probability == 0.0 else 1.0 / probability, seed
+        return probability, repetitions, seed
 
     report = verify_circuit(circuit, oracle_state, judge)
     report.sampled_frequency = frequency

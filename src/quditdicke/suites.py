@@ -17,6 +17,17 @@ Criterion 8 checks the sequential gate counts.  Within one ``run_all`` it
 counts the circuits that criteria 1 and 2 built moments earlier: ``_case``
 records the op count of each sequential circuit it builds, for that call
 only, and criterion 8 builds a circuit itself only when it runs alone.
+
+Criterion 4 places the argmax of the hadamard acceptance probability on a
+101-point boost grid.  It keeps the circuit ``_cases`` builds for each
+spec (and cap-checks) and simulates the whole grid with
+``qpe._boost_sweep``: one run in which a ``grid`` wire of dimension L
+selects the boost, so a spec costs one build and one run, not 101 of
+each.  That run holds L times the built register, so under the amplitude
+cap the grid is split into sweeps of at most cap // register size boosts;
+at one boost a sweep is the built circuit at that boost.  ``quditdicke
+sweep --param p`` stays per point: its CSV prints each probability with
+``repr``, and a sweep would move their last bits.
 """
 
 from __future__ import annotations
@@ -34,10 +45,11 @@ import numpy as np
 from .levelsets import build_level_sets, compositions, verify_level_set_proposition
 from .qpe import (
     BUILDERS,
+    _boost_sweep,
+    _site_amplitudes_spin_s,
+    _site_amplitudes_sud,
     build_fanout_const_spin_s,
     build_fanout_const_sud,
-    build_hadamard_test_spin_s,
-    build_hadamard_test_sud,
     run_postselected,
 )
 from .reference import (
@@ -60,7 +72,6 @@ from .sim import (
     ATOL_IDENTITY,
     ATOL_PROBABILITY,
     FIDELITY_ACCEPT,
-    acceptance_probability,
     fidelity,
 )
 
@@ -135,12 +146,16 @@ def _bond_factorization(spec):
     )
 
 
+def _oracle(spec):
+    return spin_s_dicke(spec) if isinstance(spec, DickeSpecSpinS) else sud_dicke(spec)
+
+
 def _case(spec, methods):
     """(name, circuit, oracle, expected) of one spec under each of ``methods`` in turn: the detail-line name,
     the built circuit, the oracle and the closed-form acceptance probability, each evaluated once per spec."""
     family, label = _family(spec)
     spin = family == "spin-s"
-    oracle = spin_s_dicke(spec) if spin else sud_dicke(spec)
+    oracle = _oracle(spec)
     closed_form = None
     for method in methods:
         if method == "sequential":
@@ -204,8 +219,22 @@ def criterion_qpe_probabilities(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) ->
     return _criterion_cases("criterion-3", description, specs, _PROBABILISTIC, max_amplitudes)
 
 
-def _acceptance_probability(circuit) -> float:
-    return acceptance_probability(circuit.run(), circuit.accept_rule)
+def _boost_grid(spec, boosts, max_amplitudes: int, skips: list[str]):
+    """Acceptance probability of the hadamard circuit of ``spec`` at each boost (p of a spin-s spec, xi of a
+    sud spec; an all-zero xi reads 0.0), in sweeps of at most cap // register size boosts each, or None with a
+    skip line when the built circuit is above the cap."""
+    case = next(_cases([(spec, "hadamard")], max_amplitudes, skips), None)
+    if case is None:
+        return None
+    circuit = case[1]
+    spin = isinstance(spec, DickeSpecSpinS)
+    points = [i for i, boost in enumerate(boosts) if spin or any(boost)]
+    amps = [_site_amplitudes_spin_s(spec.twice_s, boosts[i]) if spin else _site_amplitudes_sud(boosts[i]) for i in points]
+    step = max_amplitudes // circuit.register.size
+    values = np.zeros(len(boosts))
+    for start in range(0, len(points), step):
+        values[points[start : start + step]] = _boost_sweep(circuit, amps[start : start + step])
+    return values
 
 
 def criterion_parameter_optimality(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES, seed: int = 404) -> CriterionResult:
@@ -217,11 +246,10 @@ def criterion_parameter_optimality(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES,
         twice_s = int(rng.integers(1, 4))
         n = int(rng.integers(2, 4))
         k = int(rng.integers(1, twice_s * n))
-        spec = DickeSpecSpinS(n, twice_s, k)
-        if not list(_cases([(spec, "hadamard")], max_amplitudes, skips)):
+        values = _boost_grid(DickeSpecSpinS(n, twice_s, k), [float(p) for p in grid], max_amplitudes, skips)
+        if values is None:
             continue  # above the cap: skipped
         best = k / (twice_s * n)
-        values = [_acceptance_probability(build_hadamard_test_spin_s(spec, p=float(p))) for p in grid]
         argmax = int(np.argmax(values))
         nearest = int(np.argmin(np.abs(grid - best)))
         if argmax != nearest:
@@ -232,20 +260,13 @@ def criterion_parameter_optimality(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES,
             kvec = tuple(int(v) for v in rng.multinomial(n, [1 / 3] * 3))
             if sum(1 for v in kvec if v > 0) >= 2:
                 break
-        spec = DickeSpecSUD(n, kvec)
         axis = int(rng.integers(0, 3))
-        if not list(_cases([(spec, "hadamard")], max_amplitudes, skips)):
+        optimal = [math.sqrt(v / n) for v in kvec]
+        boosts = [optimal[:axis] + [float(x)] + optimal[axis + 1 :] for x in grid]
+        values = _boost_grid(DickeSpecSUD(n, kvec), boosts, max_amplitudes, skips)
+        if values is None:
             continue  # above the cap: skipped
         best = math.sqrt(kvec[axis] / n)
-        optimal = [math.sqrt(v / n) for v in kvec]
-        values = []
-        for x in grid:
-            xi = list(optimal)
-            xi[axis] = float(x)
-            if not any(xi):
-                values.append(0.0)
-                continue
-            values.append(_acceptance_probability(build_hadamard_test_sud(spec, xi=xi)))
         argmax = int(np.argmax(values))
         nearest = int(np.argmin(np.abs(grid - best)))
         if argmax != nearest:
@@ -309,7 +330,7 @@ def criterion_mps_canonical(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> Cri
                     if g != 0.0:
                         contracted[step(bond, m)][m * size : (m + 1) * size] = amplitudes * g
             prefix = contracted
-        oracle = spin_s_dicke(spec) if family == "spin-s" else sud_dicke(spec)
+        oracle = _oracle(spec)
         mismatch = np.flatnonzero(np.abs(prefix.get(last, 0.0) - oracle.amplitudes.real) > ATOL_IDENTITY)
         if mismatch.size:
             failures.append(f"{family} contraction {label} digits={oracle.register.digits_of(int(mismatch[0]))}")

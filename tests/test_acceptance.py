@@ -9,14 +9,16 @@ detail lines at the default cap: an unindented line names a criterion and
 each indented line below it is one detail line.
 """
 
+import math
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quditdicke.qpe import BUILDERS
+from quditdicke.qpe import BUILDERS, build_hadamard_test_spin_s, build_hadamard_test_sud
 from quditdicke.reference import (
     DickeSpecSpinS,
     DickeSpecSUD,
@@ -27,7 +29,15 @@ from quditdicke.reference import (
 )
 from quditdicke.report import embedded_reference, verify_circuit
 from quditdicke.sequential import build_sequential_spin_s, build_sequential_sud
-from quditdicke.sim import ATOL_PROBABILITY, FIDELITY_ACCEPT, Circuit, fidelity, project_on_outcome, xd
+from quditdicke.sim import (
+    ATOL_PROBABILITY,
+    FIDELITY_ACCEPT,
+    Circuit,
+    acceptance_probability,
+    fidelity,
+    project_on_outcome,
+    xd,
+)
 from quditdicke.suites import (
     ALL_CRITERIA,
     DEFAULT_MAX_AMPLITUDES,
@@ -194,6 +204,77 @@ def test_every_criterion_that_simulates_skips_above_the_cap():
     assert result.passed and sizes
     assert all(line.startswith("skipped: ") and " hadamard " in line for line in result.details)
     assert all(100 < size <= 640 for size in sizes)
+
+
+SWEEP_GRID = [i / 100 for i in range(101)]
+SWEEP_CASES = (
+    (DickeSpecSpinS(3, 3, 2), SWEEP_GRID),
+    # the first boost is the all-zero xi, which reads 0.0 without a simulation
+    (DickeSpecSUD(3, (1, 0, 2)), [[0.0, 0.0, 0.0]] + [[x, 0.0, math.sqrt(2 / 3)] for x in SWEEP_GRID]),
+)
+
+
+# registers of 640 (spin-s) and 432 (sud) amplitudes: one sweep, sweeps of 3 or 4 boosts, and one boost per run
+@pytest.mark.parametrize("cap", (DEFAULT_MAX_AMPLITUDES, 2000, 641))
+@pytest.mark.parametrize("spec, boosts", SWEEP_CASES, ids=("spin-s", "sud"))
+def test_boost_sweep_matches_per_point_simulation(spec, boosts, cap):
+    from quditdicke import suites
+
+    spin = isinstance(spec, DickeSpecSpinS)
+    skips = []
+    values = suites._boost_grid(spec, boosts, cap, skips)
+    assert skips == []
+    exact = []
+    for boost in boosts:
+        if not (spin or any(boost)):
+            exact.append(0.0)
+            continue
+        circuit = build_hadamard_test_spin_s(spec, p=boost) if spin else build_hadamard_test_sud(spec, xi=boost)
+        exact.append(acceptance_probability(circuit.run(), circuit.accept_rule))
+    assert len(values) == len(boosts)
+    assert np.max(np.abs(values - np.array(exact))) <= 1e-12
+    assert np.argmax(values) == np.argmax(exact)
+
+
+def test_criterion_4_fails_on_a_shifted_boost(monkeypatch):
+    from quditdicke import suites
+
+    spin, sud = suites._site_amplitudes_spin_s, suites._site_amplitudes_sud
+    monkeypatch.setattr(suites, "_site_amplitudes_spin_s", lambda twice_s, p: spin(twice_s, min(1.0, p + 0.1)))
+    monkeypatch.setattr(suites, "_site_amplitudes_sud", lambda xi: sud([xi[0] + 0.1, *xi[1:]]))
+    result = criterion_parameter_optimality()
+    assert not result.passed
+    # every spin-s argmax moves by 0.1; the two sud specs searched along an unoccupied level 0 keep theirs at xi = 0
+    assert [line.split(" ", 1)[0] for line in result.details] == ["spin-s"] * 5 + ["sud"] * 3
+
+
+CRITERION_4_SKIPS = {
+    DEFAULT_MAX_AMPLITUDES: [],
+    640: [],
+    100: [
+        "skipped: spin-s hadamard n=2 2s=3 k=3: register size 112",
+        "skipped: spin-s hadamard n=3 2s=2 k=2: register size 189",
+        "skipped: spin-s hadamard n=3 2s=3 k=2: register size 640",
+        "skipped: spin-s hadamard n=2 2s=3 k=5: register size 112",
+    ],
+}
+
+
+@pytest.mark.parametrize("cap", CRITERION_4_SKIPS)
+def test_criterion_4_runs_no_register_above_the_cap(monkeypatch, cap):
+    sizes = []
+    run = Circuit.run
+
+    def recording(circuit, *args):
+        sizes.append(circuit.register.size)
+        return run(circuit, *args)
+
+    monkeypatch.setattr(Circuit, "run", recording)
+    result = criterion_parameter_optimality(cap)
+    assert result.passed and result.details == CRITERION_4_SKIPS[cap]
+    assert sizes and max(sizes) <= cap
+    if cap == DEFAULT_MAX_AMPLITUDES:
+        assert len(sizes) == 10  # one sweep per spec
 
 
 @pytest.mark.parametrize(

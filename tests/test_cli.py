@@ -7,6 +7,7 @@ import pytest
 from quditdicke.cli import cli_main
 from quditdicke.report import RunReport
 from quditdicke.serialize import circuit_from_json
+from quditdicke.sim import ATOL_PROBABILITY
 
 
 def run_cli(args):
@@ -229,6 +230,27 @@ def test_sweep_is_sorted_and_reproducible(tmp_path):
     values = [float(line.split(",")[1]) for line in rows[1:]]
     assert values == sorted(values)
     assert len(values) == 11
+
+
+def test_prepare_reads_rounding_residue_as_impossible_acceptance(capsys):
+    # xi=(1, 0) puts no weight on level 1, so kvec (1, 1) is unreachable: the accept block holds only residue
+    code = run_cli(["prepare", "--family", "sud", "--n", "2", "--kvec", "1,1", "--method", "hadamard", "--xi", "1,0"])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert 0.0 < report["acceptance_probability"] <= ATOL_PROBABILITY  # reported as measured
+    assert report["expected_repetitions"] is None
+    assert "acceptance has probability 0: reported as failure" in report["notes"]
+
+
+def test_sweep_reads_rounding_residue_as_impossible_acceptance(capsys):
+    args = ["sweep", "--family", "spin-s", "--n", "2", "--s", "0.5", "--k", "1", "--method", "hadamard", "--param", "p"]
+    assert run_cli(args + ["--points", "5"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["0.0", "0.25", "0.5", "0.75", "1.0"]
+    # at p = 0 and p = 1 the k = 1 sector is empty in exact arithmetic
+    for row in (rows[0], rows[-1]):
+        assert 0.0 < float(row[2]) <= ATOL_PROBABILITY and row[3] == "inf"
+    assert [row[3] for row in rows[1:-1]] == [repr(1.0 / float(row[2])) for row in rows[1:-1]]
 
 
 def test_sweep_over_n(tmp_path):
