@@ -28,7 +28,7 @@ from .sim import (
     GateOp,
     QuditRegister,
     StateVector,
-    _draw_outcomes,
+    _count_outcome,
     _fourier,
     acceptance_probability,
     dense_unitary,
@@ -288,13 +288,20 @@ def expected_repetitions(probability: float) -> float:
 def run_postselected(circuit: Circuit, oracle_state: StateVector, shots: int = 0, seed: int | None = None) -> RunReport:
     """Simulate, project exactly on the accept rule, and report.
 
-    With ``shots`` > 0 the accept-register marginal is also sampled with a
-    seeded generator; the empirical acceptance frequency is the report's
-    ``sampled_frequency`` and is also noted.  Reruns with the same seed are
-    bit-identical.
+    With ``shots`` > 0 the accept-register marginal is also sampled with
+    ``default_rng(seed)``, seed 0 when ``seed`` is None, and the report's
+    ``seed`` is the one the draws used.  The empirical acceptance frequency
+    is the report's ``sampled_frequency`` and is also noted; it counts the
+    shots that ``choice`` on the marginal would give the accept digits
+    (``sim._count_outcome``), so reruns with the report's seed are
+    bit-identical.  Negative ``shots`` raise ValueError.
     """
     if circuit.accept_rule is None:
         raise ValueError("circuit has no accept rule to postselect on")
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
+    if shots:
+        seed = 0 if seed is None else int(seed)
     frequency = None
 
     def judge(state, probability, notes):
@@ -304,9 +311,7 @@ def run_postselected(circuit: Circuit, oracle_state: StateVector, shots: int = 0
             notes.append("acceptance has probability 0: reported as failure")
         if shots:
             wires, digits = circuit.accept_rule
-            accept = outcome_index(circuit.register, wires, digits)
-            draws = _draw_outcomes(state, wires, 0 if seed is None else int(seed), int(shots))
-            hits = sum(map(lambda block: int(np.count_nonzero(block == accept)), draws))  # frees each block before the next draw
+            hits = _count_outcome(state, wires, outcome_index(circuit.register, wires, digits), seed, int(shots))
             frequency = float(hits) / float(shots)
             notes.append(f"sampled acceptance frequency {frequency!r} over {shots} shots")
         return probability, repetitions, seed

@@ -40,13 +40,17 @@ except the collapsed state it returns.  ``outcome_distribution`` is one
 ``np.einsum`` that contracts the amplitudes' float64 (re, im) parts with
 themselves onto the listed wires.  ``_outcome_block`` views the block
 where the listed wires read fixed digits, with its probability from one
-``np.vdot``; ``project_on_outcome`` divides it straight into the zeroed
-output and ``report.verify_circuit`` judges it in place.  ``sample_measure``
-and the shot counts of ``qpe.run_postselected`` share one sampling path,
-``_draw_outcomes``: ``default_rng(seed).choice`` on the exact marginal,
-drawn in blocks of ``_BLOCK`` shots that continue one generator stream.
-An empty wire list is the certain outcome, digits () with probability the
-squared norm.
+``np.vdot``; ``project_on_outcome`` multiplies it by 1/sqrt(P) straight
+into the zeroed output and ``report.verify_circuit`` judges it in place.
+``sample_measure`` and the shot counts of ``qpe.run_postselected`` share
+one CDF, ``_cdf``, built as ``Generator.choice`` builds it from the exact
+marginal.  ``_draw_outcomes`` maps one ``default_rng(seed)`` uniform to
+an outcome index, as ``choice`` does.  ``_count_outcome`` counts the
+shots that ``choice(size=shots)`` would give one outcome without forming
+an index: it draws the same uniforms in blocks of ``_BLOCK`` that
+continue one generator stream, and counts those inside the outcome's
+interval of the CDF.  An empty wire list is the certain outcome, digits
+() with probability the squared norm.
 """
 
 from __future__ import annotations
@@ -610,7 +614,7 @@ def project_on_outcome(state: StateVector, wires: Sequence, digits: Sequence[int
     if probability == 0.0:
         raise ImpossibleOutcomeError(f"outcome {tuple(int(v) for v in digits)} on wires {tuple(wires)} is impossible")
     cond = np.zeros(state.register.size, dtype=np.complex128)
-    np.divide(block, math.sqrt(probability), out=select(cond))
+    np.multiply(block, 1.0 / math.sqrt(probability), out=select(cond))  # numpy's complex / real is this product
     return probability, StateVector(state.register, cond)
 
 
@@ -649,26 +653,41 @@ def acceptance_probability(state: StateVector, accept_rule: tuple) -> float:
     return _outcome_block(state, *accept_rule)[2]
 
 
-def _draw_outcomes(state: StateVector, wires: Sequence, seed: int, shots: int | None = None):
-    """Yield outcome indices over ``wires`` drawn from the exact marginal by one ``default_rng(seed)``.
-
-    One index when ``shots`` is None, else arrays of at most _BLOCK indices,
-    ``shots`` in all: the same draws as one ``choice(size=shots)``, by
-    choice's own inverse-CDF algorithm without its per-call validation.
-    The one sampling path of ``sample_measure`` and of shot counts.
-    """
+def _cdf(state: StateVector, wires: Sequence) -> np.ndarray:
+    """Cumulative distribution of the exact marginal over ``wires``, built as ``Generator.choice``
+    builds it: cumsum of the normalized marginal, divided by its last entry, which is then 1.0."""
     probs = outcome_distribution(state, wires)
     total = probs.sum()
     if not total > 0.0:  # a zero or NaN norm has no distribution to draw from
         raise ValueError(f"cannot sample a state of squared norm {total!r}")
     cdf = (probs / total).cumsum()
     cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_outcomes(state: StateVector, wires: Sequence, seed: int) -> int:
+    """One outcome index over ``wires`` drawn from the exact marginal by ``default_rng(seed)``: the
+    draw of ``choice`` by its own inverse-CDF algorithm, without its per-call validation."""
+    return int(_cdf(state, wires).searchsorted(np.random.default_rng(seed).random(), side="right"))
+
+
+def _count_outcome(state: StateVector, wires: Sequence, index: int, seed: int, shots: int) -> int:
+    """How many of ``shots`` draws of ``default_rng(seed).choice`` on the marginal over ``wires``
+    give outcome ``index``, drawn in blocks of at most _BLOCK uniforms that continue one stream.
+
+    ``choice`` maps a uniform u to ``searchsorted(cdf, u, "right")``, which is ``index`` exactly
+    when cdf[index - 1] <= u < cdf[index]; so each block adds the uniforms below the upper end of
+    that interval less those below its lower end, and no outcome index is formed.
+    """
+    cdf = _cdf(state, wires)
+    hi, lo = cdf[index], cdf[index - 1] if index else -np.inf
     uniform = np.random.default_rng(seed).random
-    if shots is None:
-        yield cdf.searchsorted(uniform(), side="right")
-        return
-    for start in range(0, shots, _BLOCK):
-        yield cdf.searchsorted(uniform(min(_BLOCK, shots - start)), side="right")
+
+    def count(size: int) -> int:  # a block's uniforms are freed before the next block is drawn
+        u = uniform(size)
+        return int(np.count_nonzero(u < hi)) - int(np.count_nonzero(u < lo))
+
+    return sum(count(min(_BLOCK, shots - start)) for start in range(0, shots, _BLOCK))
 
 
 def sample_measure(state: StateVector, wires: Sequence, seed: int) -> tuple[tuple[int, ...], StateVector]:
@@ -678,7 +697,7 @@ def sample_measure(state: StateVector, wires: Sequence, seed: int) -> tuple[tupl
     the same as project_on_outcome on the drawn digits.
     """
     wires = tuple(wires)
-    index = int(next(_draw_outcomes(state, wires, int(seed))))
+    index = _draw_outcomes(state, wires, int(seed))
     digits = _digits_of(index, [state.register.dim(w) for w in wires])
     _, collapsed = project_on_outcome(state, wires, digits)
     return digits, collapsed

@@ -503,7 +503,8 @@ def test_sampling_notes_are_deterministic():
     ],
 )
 def test_shot_counts_in_blocks_equal_one_draw(spec, seed):
-    from quditdicke.sim import _BLOCK, _draw_outcomes, outcome_index
+    # every outcome, the near-zero tail of the charge readout too, where the CDF ties at 1.0
+    from quditdicke.sim import _BLOCK, _count_outcome, outcome_index
 
     circuit = build_qpe_log_spin_s(spec)
     state = circuit.run()
@@ -512,11 +513,60 @@ def test_shot_counts_in_blocks_equal_one_draw(spec, seed):
     accept = outcome_index(circuit.register, wires, digits)
     for shots in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
         draws = np.random.default_rng(seed).choice(probs.size, size=shots, p=probs / probs.sum())
-        blocks = list(_draw_outcomes(state, wires, seed, shots))
-        assert max(block.size for block in blocks) <= _BLOCK
-        assert np.array_equal(np.concatenate(blocks), draws)
+        for index in range(probs.size):
+            assert _count_outcome(state, wires, index, seed, shots) == np.count_nonzero(draws == index), (shots, index)
         report = run_postselected(circuit, spin_s_dicke(spec), shots=shots, seed=seed)
         assert report.sampled_frequency == np.count_nonzero(draws == accept) / shots
+
+
+def test_negative_shots_are_rejected():
+    spec = DickeSpecSpinS(2, 1, 1)
+    with pytest.raises(ValueError, match="shots"):
+        run_postselected(build_qpe_log_spin_s(spec), spin_s_dicke(spec), shots=-5, seed=3)
+
+
+def test_report_seed_reproduces_the_sampled_frequency():
+    spec = DickeSpecSpinS(3, 1, 1)
+    circuit, oracle = build_qpe_log_spin_s(spec), spin_s_dicke(spec)
+    unseeded = run_postselected(circuit, oracle, shots=5000)
+    assert unseeded.seed == 0
+    assert run_postselected(circuit, oracle, shots=5000, seed=unseeded.seed).sampled_frequency == unseeded.sampled_frequency
+    seeded = run_postselected(circuit, oracle, shots=5000, seed=41)
+    assert seeded.seed == 41
+    assert run_postselected(circuit, oracle, shots=5000, seed=seeded.seed).sampled_frequency == seeded.sampled_frequency
+    # without shots nothing is drawn, and the seed is reported as given
+    assert run_postselected(circuit, oracle).seed is None
+
+
+@pytest.mark.parametrize(
+    "build, spec",
+    [
+        # the single-shot state of the benchmark's sample workload, accept wire h
+        pytest.param(build_hadamard_test_spin_s, DickeSpecSpinS(8, 2, 8), id="hadamard-spin1-n8-k8"),
+        pytest.param(build_fanout_const_sud, DickeSpecSUD(3, (1, 1, 1)), id="fanout-sud-111"),
+    ],
+)
+def test_collapse_is_the_block_over_the_root(build, spec):
+    # the collapse multiplies by 1 / sqrt(P), which numpy's complex / real computes too: equal
+    # values, bit for bit at every nonzero word, and only the sign of a zero word may differ
+    from quditdicke.sim import _digits_of, _outcome_block
+
+    circuit = build(spec)
+    state = circuit.run()
+    wires = circuit.accept_rule[0]
+    dims = [state.register.dim(w) for w in wires]
+    for index in range(math.prod(dims)):
+        digits = _digits_of(index, dims)
+        select, block, probability = _outcome_block(state, wires, digits)
+        if probability == 0.0:
+            continue
+        _, collapsed = project_on_outcome(state, wires, digits)
+        got, expected = select(collapsed.amplitudes).ravel(), (block / math.sqrt(probability)).ravel()
+        assert np.count_nonzero(collapsed.amplitudes) == np.count_nonzero(got)
+        assert np.array_equal(got, expected)
+        got, expected = got.view(np.float64), expected.view(np.float64)
+        nonzero = expected != 0.0
+        assert np.array_equal(got[nonzero].view(np.uint64), expected[nonzero].view(np.uint64))
 
 
 @pytest.mark.parametrize("method", ("qpe-log", "hadamard"))
@@ -536,6 +586,7 @@ def test_shot_counts_hold_one_block_of_draws():
 
     spec = DickeSpecSpinS(2, 1, 1)
     circuit, oracle = build_qpe_log_spin_s(spec), spin_s_dicke(spec)
+    run_postselected(circuit, oracle, shots=1, seed=5)  # one-time allocations would otherwise inflate the 1-shot peak
     peaks = []
     for shots in (1, 4 * _BLOCK + 1):
         tracemalloc.start()
@@ -545,8 +596,8 @@ def test_shot_counts_hold_one_block_of_draws():
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
         finally:
             tracemalloc.stop()
-    # a block's float64 uniforms are held beside its int64 indices; all the shots at once
-    # would hold 4 * _BLOCK + 1 of each
+    # one block of float64 uniforms is held at a time, beside its boolean comparison mask;
+    # all the shots at once would hold 4 * _BLOCK + 1 uniforms
     assert peaks[1] - peaks[0] < 2 * 8 * _BLOCK + 2**16
 
 

@@ -697,18 +697,60 @@ def test_single_draws_equal_generator_choice():
     p = outcome_distribution(plus, (0,))
     p = p / p.sum()
     for seed in range(3000):
-        assert int(next(_draw_outcomes(plus, (0,), seed))) == int(np.random.default_rng(seed).choice(2, p=p))
+        assert _draw_outcomes(plus, (0,), seed) == int(np.random.default_rng(seed).choice(2, p=p))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+def test_counts_equal_choice_where_the_marginal_has_zeros(seed):
+    # zero-probability outcomes first, inside and last: the CDF ties there, and such an outcome
+    # must count 0, as searchsorted never returns it
+    from quditdicke.sim import _BLOCK, _count_outcome
+
+    marginal = np.array([0.0, 0.3, 0.0, 0.0, 0.45, 0.0, 0.25, 0.0])
+    amps = np.outer([1.0, 1.0j, -2.0], np.sqrt(marginal)).ravel(order="F") / math.sqrt(6.0)
+    state = StateVector(QuditRegister.of_dims([3, 8]), amps)
+    p = outcome_distribution(state, (1,))
+    p = p / p.sum()
+    for shots in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+        draws = np.random.default_rng(seed).choice(p.size, size=shots, p=p)
+        counts = [_count_outcome(state, (1,), index, seed, shots) for index in range(p.size)]
+        assert counts == np.bincount(draws, minlength=p.size).tolist(), shots
+
+
+def test_a_uniform_on_a_cdf_entry_counts_for_the_next_outcome():
+    # choice maps u to the first outcome whose CDF entry exceeds u, so a uniform equal to cdf[0]
+    # is outcome 1; squares of powers of two put cdf[0] on one drawn uniform exactly
+    from quditdicke.sim import _count_outcome
+
+    seed, shots = 3, 1000
+    uniforms = np.random.default_rng(seed).random(shots)
+    target = next(u for u in uniforms if (u * 2**52).is_integer())  # every partial sum is then exact
+
+    def amplitudes(p):  # powers of two whose squares sum to p, a multiple of 2**-52 in (0, 1)
+        out = []
+        for e in range(1, 53):
+            if int(p * 2**52) >> (52 - e) & 1:  # p holds 2**-e: one square 2**-e, or two of 2**-(e + 1)
+                out += [2.0 ** (-e // 2)] if e % 2 == 0 else [2.0 ** (-(e + 1) // 2)] * 2
+        return out + [0.0] * (128 - len(out))
+
+    amps = np.ravel([amplitudes(target), amplitudes(1.0 - target)], order="F")
+    state = StateVector(QuditRegister.of_dims([2, 128]), amps)
+    assert outcome_distribution(state, (0,)).tolist() == [target, 1.0 - target]
+    draws = np.random.default_rng(seed).choice(2, size=shots, p=[target, 1.0 - target])
+    assert draws[uniforms == target].tolist() == [1]
+    for index in (0, 1):
+        assert _count_outcome(state, (0,), index, seed, shots) == np.count_nonzero(draws == index)
 
 
 @pytest.mark.parametrize("amplitude", [0.0, math.nan])
 def test_sampling_a_state_without_a_norm_is_rejected(amplitude):
-    from quditdicke.sim import _draw_outcomes
+    from quditdicke.sim import _count_outcome
 
     state = StateVector(QuditRegister.of_dims([2, 2]), np.full(4, amplitude, dtype=np.complex128))
     with pytest.raises(ValueError, match="squared norm"):
         sample_measure(state, (0,), seed=1)
     with pytest.raises(ValueError, match="squared norm"):
-        list(_draw_outcomes(state, (0,), 1, 5))
+        _count_outcome(state, (0,), 0, 1, 5)
 
 
 def test_circuit_validates_ops_and_accept_rule():
