@@ -12,6 +12,7 @@ the exchange format.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -67,35 +68,43 @@ _SPIN_BUILDERS = BUILDERS["spin-s"]
 _SUD_BUILDERS = BUILDERS["sud"]
 
 
-def _build_circuit(spec, method: str, p: float | None, xi):
-    if isinstance(spec, DickeSpecSpinS):
-        if method == "sequential":
-            return build_sequential_spin_s(spec)
-        return _SPIN_BUILDERS[method](spec, p=p)
+def _build_circuit(spec, method: str, p: float | None, xi, cap: int | None = None):
+    """The spec's circuit.  Under a ``cap``, a register above that many amplitudes is a usage error:
+    the system register the spec implies is checked before any builder runs, the built one after."""
+    spin = isinstance(spec, DickeSpecSpinS)
+    if cap is not None:
+        _cap_check(itertools.repeat(spec.dim if spin else spec.d, spec.n), cap, f"the system register of {spec.n} sites")
     if method == "sequential":
-        return build_sequential_sud(spec)
-    return _SUD_BUILDERS[method](spec, xi=xi)
+        circuit = (build_sequential_spin_s if spin else build_sequential_sud)(spec)
+    else:
+        circuit = _SPIN_BUILDERS[method](spec, p=p) if spin else _SUD_BUILDERS[method](spec, xi=xi)
+    if cap is not None:
+        _cap_check(circuit.register.dims, cap, f"register {list(circuit.register.dims)}")
+    return circuit
 
 
-def _spec_and_circuit(args):
-    """The spec and its circuit; a boost flag the family or method does not take is a usage error."""
+def _spec_and_circuit(args, cap: int | None = None):
+    """The spec and its circuit under ``cap``; a boost flag the family or method does not take is a usage error."""
     for flag, value, family in (("--p", args.p, "spin-s"), ("--xi", args.xi, "sud")):
         if value is not None and (args.method == "sequential" or args.family != family):
             raise ValueError(f"{flag} applies only to the probabilistic methods of the {family} family")
     spec = _spec_from_args(args)
     xi = _parse_vector(args.xi, float, "xi vector") if args.xi else None
-    return spec, _build_circuit(spec, args.method, args.p, xi)
+    return spec, _build_circuit(spec, args.method, args.p, xi, cap)
 
 
 def _oracle(spec):
     return spin_s_dicke(spec) if isinstance(spec, DickeSpecSpinS) else sud_dicke(spec)
 
 
-def _cap_check(circuit, cap: int) -> None:
-    if circuit.register.size > cap:
-        raise ValueError(
-            f"register {list(circuit.register.dims)} has {circuit.register.size} amplitudes, above the cap {cap}"
-        )
+def _cap_check(dims, cap: int, register: str) -> None:
+    """Reject a register whose wire dimensions multiply past ``cap``.  The product stops there, so an
+    oversized spec's dimensions are never multiplied out."""
+    size = 1
+    for dim in dims:
+        size *= dim
+        if size > cap:
+            raise ValueError(f"{register} exceeds the cap of {cap} amplitudes")
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
@@ -170,8 +179,7 @@ def _cmd_prepare(args) -> int:
     if args.shots < 0:
         raise ValueError(f"--shots must be >= 0, got {args.shots}")
     seed = _default_seed(args)
-    spec, circuit = _spec_and_circuit(args)
-    _cap_check(circuit, args.max_amplitudes)
+    spec, circuit = _spec_and_circuit(args, args.max_amplitudes)
     expected = 1.0 if args.method == "sequential" else None
     report, failures = check_case(args.method, circuit, _oracle(spec), expected, args.shots if seed is not None else 0, seed)
     text = report.to_json() if args.format == "json" else report.CSV_HEADER + "\n" + report.to_csv_row()
@@ -212,8 +220,7 @@ def _cmd_sweep(args) -> int:
         grid = ((n, DickeSpecSpinS(n, twice_s, args.k), None) for n in range(args.n, args.n_max + 1))
     lines = ["param,value,acceptance_probability,expected_repetitions,gate_count,logical_depth"]
     for value, spec, p in grid:
-        circuit = _build_circuit(spec, args.method, p, None)
-        _cap_check(circuit, args.max_amplitudes)
+        circuit = _build_circuit(spec, args.method, p, None, args.max_amplitudes)
         probability = acceptance_probability(circuit.run(), circuit.accept_rule)
         gates, depth, _ = count_resources(circuit)
         lines.append(f"{args.param},{value!r},{probability!r},{expected_repetitions(probability)!r},{gates},{depth}")

@@ -9,7 +9,6 @@ emitter adds a flag qubit so that double controls suffice.
 
 from __future__ import annotations
 
-import logging
 import math
 
 from .levelsets import LevelSetIndex, build_level_sets
@@ -31,38 +30,30 @@ from .sim import (
     xswap,
 )
 
-logger = logging.getLogger(__name__)
-
-SINE_UNDERFLOW = 1e-14
-
 
 def rotation_cascade_angles(gammas) -> list[float]:
-    """Angles theta_m = 2*arccos(gamma_m / prod_{p<m} sin(theta_p/2)).
+    """Angles theta_m = 2*atan2(t_{m+1}, gamma_m) of a Givens cascade.
 
-    When the squared amplitudes sum to one the last amplitude is implied
-    and one fewer angle is returned.  Once the running sine product
-    underflows below 1e-14 the remaining angles are zero: that branch
-    carries no amplitude.
+    t_j is the norm of the amplitudes on levels j and up, summed from the
+    top level down, so rotation m keeps gamma_m on level m and passes the
+    norm t_{m+1} upward.  No ratio of running products is formed, so a
+    tiny amplitude keeps its relative precision.  When the squared
+    amplitudes sum to one the last amplitude is implied and one fewer
+    angle is returned; otherwise the remainder 1 - sum(gamma^2) also
+    counts in every t_j and lands past the last level.
     """
     gammas = [float(g) for g in gammas]
     total = sum(g * g for g in gammas)
     if total > 1.0 + ATOL_CASCADE:
         raise ValueError(f"squared amplitudes sum to {total}, above 1")
-    count = len(gammas) - 1 if abs(total - 1.0) <= ATOL_CASCADE else len(gammas)
+    complete = abs(total - 1.0) <= ATOL_CASCADE
+    tail = 0.0 if complete else 1.0 - total
     angles = []
-    sine_product = 1.0
-    for m in range(count):
-        if sine_product < SINE_UNDERFLOW:
-            angles.append(0.0)
-            continue
-        ratio = gammas[m] / sine_product
-        clamped = min(1.0, max(-1.0, ratio))
-        if abs(ratio - clamped) > ATOL_CASCADE:
-            logger.warning("cascade ratio %.17g clamped to [-1, 1]", ratio)
-        theta = 2.0 * math.acos(clamped)
-        angles.append(theta)
-        sine_product *= math.sin(theta / 2.0)
-    return angles
+    for g in reversed(gammas):
+        angles.append(2.0 * math.atan2(math.sqrt(tail), g))
+        tail += g * g
+    angles.reverse()
+    return angles[:-1] if complete else angles
 
 
 def spin_s_l_range(n: int, twice_s: int, k: int, i: int) -> range:

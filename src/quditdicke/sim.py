@@ -70,7 +70,7 @@ FIDELITY_ACCEPT = 1.0 - 1e-9  # fidelity a prepared state must reach against its
 ANCILLA_ACCEPT = 1.0 - 1e-10  # probability that a deterministic circuit returns its ancillas
 ATOL_PROBABILITY = 1e-9  # simulated acceptance probability against its closed form
 ATOL_IDENTITY = 1e-10  # identities exact in exact arithmetic: duality, charge moments, bond rows
-ATOL_CASCADE = 1e-9  # rotation cascade: squared amplitudes above 1, ratios outside [-1, 1]
+ATOL_CASCADE = 1e-9  # rotation cascade: squared amplitudes sum above 1, or equal to 1
 
 _BLOCK = 2**16  # scratch bound of block products and shot draws: a 1 MiB block and its product fit a 2 MiB L2 cache
 

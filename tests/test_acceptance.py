@@ -74,6 +74,24 @@ def test_criterion(criterion):
     assert result.details == pinned_details()[criterion.ident]
 
 
+def test_sequential_amplitudes_match_the_oracle():
+    # 1 - F is quadratic in an amplitude error, so criteria 1 and 2 read F and cannot see an error of 1e-8;
+    # this reads every amplitude of the 305 circuits, after aligning the global phase on the largest oracle entry
+    worst, count = 0.0, 0
+    for spec in [*spin_s_grid(3, 5), *sud_grid(4, 5)]:
+        spin = isinstance(spec, DickeSpecSpinS)
+        circuit = (build_sequential_spin_s if spin else build_sequential_sud)(spec)
+        wires, digits = circuit.accept_rule
+        _, conditional = project_on_outcome(circuit.run(), wires, digits)
+        oracle = embedded_reference(circuit, spin_s_dicke(spec) if spin else sud_dicke(spec), dict(zip(wires, digits)))
+        top = np.argmax(np.abs(oracle.amplitudes))
+        phase = conditional.amplitudes[top] / oracle.amplitudes[top]
+        worst = max(worst, np.max(np.abs(conditional.amplitudes - phase / abs(phase) * oracle.amplitudes)))
+        count += 1
+    assert count == 305
+    assert worst <= 1e-14
+
+
 @pytest.mark.parametrize(
     "name, row_of, row_line, contraction_line",
     [

@@ -164,6 +164,35 @@ def test_amplitude_cap_guard(capsys):
     assert "amplitudes" in err and "cap" in err
 
 
+_SPIN_1E400 = ["--family", "spin-s", "--n", "2", "--s", "1e400", "--k", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, register",
+    [
+        (["prepare", *_SPIN_1E400, "--method", "qpe-log"], "2 sites"),
+        (["sweep", *_SPIN_1E400, "--method", "hadamard", "--param", "p"], "2 sites"),
+        (["prepare", "--family", "spin-s", "--n", "2", "--s", "100000000000000000000", "--k", "1", "--method", "sequential"], "2 sites"),
+        (["prepare", "--family", "spin-s", "--n", "100000000", "--s", "0.5", "--k", "1", "--method", "sequential"], "100000000 sites"),
+        (["prepare", "--family", "sud", "--n", "100000000", "--kvec", "50000000,50000000", "--method", "fanout"], "100000000 sites"),
+    ],
+    ids=["prepare-huge-dim", "sweep-huge-dim", "prepare-sequential-huge-dim", "prepare-huge-n", "prepare-sud-huge-n"],
+)
+def test_oversized_spec_is_rejected_before_building(argv, register, capsys, monkeypatch):
+    # the site amplitudes of 2s = 2e400 overflow a float and 2^(10^8) amplitudes are never formed:
+    # the spec's own system register is capped before any builder runs
+    from quditdicke import cli
+
+    for method in ("qpe-log", "hadamard", "fanout"):
+        monkeypatch.setitem(cli._SPIN_BUILDERS, method, lambda spec, p: pytest.fail("built a circuit"))
+        monkeypatch.setitem(cli._SUD_BUILDERS, method, lambda spec, xi: pytest.fail("built a circuit"))
+    monkeypatch.setattr(cli, "build_sequential_spin_s", lambda spec: pytest.fail("built a circuit"))
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: the system register of {register} exceeds the cap of 1000000 amplitudes\n"
+    assert captured.out == ""
+
+
 def test_prepare_exit_1_on_verification_failure(tmp_path):
     # forcing the boost to 0 while targeting a nonzero charge starves the
     # acceptance branch; the run completes but fails verification

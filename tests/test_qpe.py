@@ -604,18 +604,18 @@ def test_shot_counts_hold_one_block_of_draws():
 # sha256 of circuit_to_json, wire ids and layer tags, recorded from the
 # per-family builders; any change to what a builder emits changes a digest
 PINNED_BUILDS = [
-    (build_qpe_log_spin_s, DickeSpecSpinS(2, 2, 2), "217ce4763b9f784f3340509b4abab7810c434126ce8c9f0bfbb974f1abc3f22f"),
-    (build_qpe_log_spin_s, DickeSpecSpinS(3, 1, 1), "0fa86226a76ac8de94491807a6ba76563adcc6ce36d3edac60519e3eadce3086"),
-    (build_hadamard_test_spin_s, DickeSpecSpinS(2, 2, 2), "bcb40f42f7ae6689c0fc7510a18ac6bd0ddcbf6c45b598681a9f3120d993de4d"),
-    (build_hadamard_test_spin_s, DickeSpecSpinS(3, 1, 1), "9015ae3c1e4b11cf386bbf25588b8b74a9699c8c01cfe49063cb56fcfae9902f"),
-    (build_fanout_const_spin_s, DickeSpecSpinS(2, 2, 2), "9a289d211743665851bb34eb7c45c5f16212591293a900ce9aafe92c0e8205e6"),
-    (build_fanout_const_spin_s, DickeSpecSpinS(3, 1, 1), "6c8447c01643f11084222e871e0aeeb6c2714cf477fb4da81a39691e87668e18"),
+    (build_qpe_log_spin_s, DickeSpecSpinS(2, 2, 2), "1f62bf045abbe36c8c1348a8491a1e8274514b6cd4a71c5c1a641309de075033"),
+    (build_qpe_log_spin_s, DickeSpecSpinS(3, 1, 1), "78afd1dca4b2980e1a0b5c11b3cfc7b1887faa534919ab8bf0ee6bff48bda888"),
+    (build_hadamard_test_spin_s, DickeSpecSpinS(2, 2, 2), "820db40c5527907537c3c464859581147e45b7fa2d6ba462804b35f6b20b2056"),
+    (build_hadamard_test_spin_s, DickeSpecSpinS(3, 1, 1), "3a86c6c361c13c7557776c32462b39537ad75d7f1487a26943e92d8a98fe1da9"),
+    (build_fanout_const_spin_s, DickeSpecSpinS(2, 2, 2), "a6b81126050c4f63e2cb80fa072193203e9b0a38a436df0923dfdce95aa752bd"),
+    (build_fanout_const_spin_s, DickeSpecSpinS(3, 1, 1), "94be691761d82a3478e3db8acb55ea8770cda79519b0f5f40439df9e8e2f64f9"),
     (build_qpe_log_sud, DickeSpecSUD(2, (1, 1, 0)), "594a343a4c6043ac8a18bdcc12667deeb891bdc599a9ae80f53e9bee1967f09c"),
-    (build_qpe_log_sud, DickeSpecSUD(3, (1, 1, 1)), "dd42ec86a7a42d27935f6cfb4e27ac56067ca4ca44b04bdb9c016299f0248059"),
+    (build_qpe_log_sud, DickeSpecSUD(3, (1, 1, 1)), "27d64f2c0f1e291cbf37db6e6a7e688955705ac5537c50e36ad4372b99f479e4"),
     (build_hadamard_test_sud, DickeSpecSUD(2, (1, 1, 0)), "e3f4ea1317eeee8575706bc29c77de9f6ad8b4c75d1c7e2f87c2e73ba8a3e6df"),
-    (build_hadamard_test_sud, DickeSpecSUD(3, (1, 1, 1)), "91dcbd482b9a441213b03c06cee18de96688cf3f67fbbc354ff6aaee86438e13"),
+    (build_hadamard_test_sud, DickeSpecSUD(3, (1, 1, 1)), "f2f16a2dc9814ea9b2806f872747cf857c1390be461662291dbc5915b32bc8f2"),
     (build_fanout_const_sud, DickeSpecSUD(2, (1, 1, 0)), "5c1ad56855ec0f6956f02c6602f062a52ed3c6072c078f35016b6a7aacd2115e"),
-    (build_fanout_const_sud, DickeSpecSUD(3, (1, 1, 1)), "ae32a8d5e7dda423ccf1e5356d686ce39920b358f31eca5d9763540a94d40850"),
+    (build_fanout_const_sud, DickeSpecSUD(3, (1, 1, 1)), "b208058c25a6f152a5022003d4daac268588889decd65426be365713631cdcbd"),
 ]
 
 

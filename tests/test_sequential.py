@@ -27,6 +27,14 @@ def apply_ops(state, ops):
     return state
 
 
+def cascade_amplitudes(amps, dim):
+    """Amplitudes the rotation cascade of ``amps`` writes onto one wire of dimension ``dim`` from |0>."""
+    state = new_basis_state(QuditRegister.of_dims([dim]), (0,))
+    for m, theta in enumerate(rotation_cascade_angles(amps)):
+        state = apply_gate(state, rot(0, m, theta))
+    return state.amplitudes
+
+
 def test_cascade_basic_angles():
     assert rotation_cascade_angles([1 / math.sqrt(2), 1 / math.sqrt(2)]) == pytest.approx([math.pi / 2])
     assert rotation_cascade_angles([1.0, 0.0, 0.0]) == pytest.approx([0.0, 0.0])
@@ -48,12 +56,17 @@ def test_cascade_reproduces_random_amplitudes():
         for _ in range(5):
             amps = rng.uniform(0.0, 1.0, size=length)
             amps /= np.linalg.norm(amps)
-            angles = rotation_cascade_angles(amps)
-            reg = QuditRegister.of_dims([length])
-            state = new_basis_state(reg, (0,))
-            for m, theta in enumerate(angles):
-                state = apply_gate(state, rot(0, m, theta))
-            assert np.allclose(state.amplitudes, amps, atol=1e-10)
+            assert np.allclose(cascade_amplitudes(amps, length), amps, atol=1e-10)
+
+
+def test_cascade_keeps_a_tiny_last_amplitude():
+    # the second ratio of a running-sine cascade rounds to 1 and its last amplitude comes out 19% off
+    amps = [0.6, math.sqrt(0.64 - 1e-16), 1e-8]
+    assert np.max(np.abs(cascade_amplitudes(amps, 3) - amps)) <= 1e-15
+
+
+def test_cascade_puts_the_remainder_past_the_last_level():
+    assert np.allclose(cascade_amplitudes([0.5, 0.5], 3), [0.5, 0.5, math.sqrt(0.5)], rtol=0.0, atol=1e-15)
 
 
 def _spin_register(n, twice_s, k):
