@@ -24,7 +24,7 @@ from .reference import DickeSpecSpinS, DickeSpecSUD, spin_s_dicke, sud_dicke
 from .report import count_resources
 from .sequential import build_sequential_spin_s, build_sequential_sud
 from .serialize import circuit_to_json
-from .sim import acceptance_probability
+from .sim import accepted_branch
 from .suites import DEFAULT_MAX_AMPLITUDES, check_case, run_all
 
 
@@ -83,14 +83,14 @@ def _build_circuit(spec, method: str, p: float | None, xi, cap: int | None = Non
     return circuit
 
 
-def _spec_and_circuit(args, cap: int | None = None):
-    """The spec and its circuit under ``cap``; a boost flag the family or method does not take is a usage error."""
+def _spec_and_circuit(args):
+    """The spec and its circuit under ``--max-amplitudes``; a boost flag the family or method does not take is a usage error."""
     for flag, value, family in (("--p", args.p, "spin-s"), ("--xi", args.xi, "sud")):
         if value is not None and (args.method == "sequential" or args.family != family):
             raise ValueError(f"{flag} applies only to the probabilistic methods of the {family} family")
     spec = _spec_from_args(args)
     xi = _parse_vector(args.xi, float, "xi vector") if args.xi else None
-    return spec, _build_circuit(spec, args.method, args.p, xi, cap)
+    return spec, _build_circuit(spec, args.method, args.p, xi, args.max_amplitudes)
 
 
 def _oracle(spec):
@@ -152,6 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--p", type=float)
     export.add_argument("--xi")
     export.add_argument("--out")
+    export.add_argument("--max-amplitudes", type=int, default=DEFAULT_MAX_AMPLITUDES)
 
     return parser
 
@@ -179,7 +180,7 @@ def _cmd_prepare(args) -> int:
     if args.shots < 0:
         raise ValueError(f"--shots must be >= 0, got {args.shots}")
     seed = _default_seed(args)
-    spec, circuit = _spec_and_circuit(args, args.max_amplitudes)
+    spec, circuit = _spec_and_circuit(args)
     expected = 1.0 if args.method == "sequential" else None
     report, failures = check_case(args.method, circuit, _oracle(spec), expected, args.shots if seed is not None else 0, seed)
     text = report.to_json() if args.format == "json" else report.CSV_HEADER + "\n" + report.to_csv_row()
@@ -221,7 +222,7 @@ def _cmd_sweep(args) -> int:
     lines = ["param,value,acceptance_probability,expected_repetitions,gate_count,logical_depth"]
     for value, spec, p in grid:
         circuit = _build_circuit(spec, args.method, p, None, args.max_amplitudes)
-        probability = acceptance_probability(circuit.run(), circuit.accept_rule)
+        probability = accepted_branch(circuit)[1]
         gates, depth, _ = count_resources(circuit)
         lines.append(f"{args.param},{value!r},{probability!r},{expected_repetitions(probability)!r},{gates},{depth}")
     _emit("\n".join(lines), args.out)

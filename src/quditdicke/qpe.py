@@ -288,11 +288,15 @@ def expected_repetitions(probability: float) -> float:
 def run_postselected(circuit: Circuit, oracle_state: StateVector, shots: int = 0, seed: int | None = None) -> RunReport:
     """Simulate, project exactly on the accept rule, and report.
 
-    With ``shots`` > 0 the accept-register marginal is also sampled with
-    ``default_rng(seed)``, seed 0 when ``seed`` is None, and the report's
-    ``seed`` is the one the draws used.  The empirical acceptance frequency
-    is the report's ``sampled_frequency`` and is also noted; it counts the
-    shots that ``choice`` on the marginal would give the accept digits
+    Without shots the run keeps only the accepted branch
+    (``Circuit.run(postselect=True)``).  With ``shots`` > 0 it keeps the full
+    state, since a draw needs every outcome of the accept-register marginal,
+    and P is read from that state, so its last bits may differ from those
+    of an undrawn run.  The marginal is sampled with ``default_rng(seed)``,
+    seed 0 when ``seed`` is None, and the report's ``seed`` is the one the
+    draws used.  The empirical acceptance frequency is the report's
+    ``sampled_frequency`` and is also noted; it counts the shots that
+    ``choice`` on the marginal would give the accept digits
     (``sim._count_outcome``), so reruns with the report's seed are
     bit-identical.  Negative ``shots`` raise ValueError.
     """
@@ -316,6 +320,6 @@ def run_postselected(circuit: Circuit, oracle_state: StateVector, shots: int = 0
             notes.append(f"sampled acceptance frequency {frequency!r} over {shots} shots")
         return probability, repetitions, seed
 
-    report = verify_circuit(circuit, oracle_state, judge)
+    report = verify_circuit(circuit, oracle_state, judge, postselect=not shots)  # a draw needs every outcome
     report.sampled_frequency = frequency
     return report

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sim import Circuit, StateVector, _outcome_block
+from .sim import Circuit, StateVector, _outcome_block, accepted_branch
 
 def logical_depth(circuit: Circuit) -> int:
     groups: list[set] = []
@@ -161,12 +161,17 @@ def spec_fields(circuit: Circuit) -> dict:
     return out
 
 
-def verify_circuit(circuit: Circuit, oracle_state: StateVector, judge) -> RunReport:
+def verify_circuit(circuit: Circuit, oracle_state: StateVector, judge, *, postselect: bool = True) -> RunReport:
     """The one verify path: simulate, read the accepted block, judge it
     against the oracle, and count resources.
 
-    P is the squared norm of the block where the accept wires read the
-    accept digits, read as ``project_on_outcome`` reads it; F is
+    With ``postselect`` (the default) the block is the accepted branch of
+    ``sim.accepted_branch``: the run fixes each accept wire to its accept
+    digit after its last op, and P is the branch's squared norm.  Without
+    it the run keeps the full state, which ``judge`` then receives, and the
+    block is the full state's view where the accept wires read the accept
+    digits, P its squared norm; a caller that draws shots needs every
+    outcome of that state.  The two P agree within rounding.  F is
     |<block / sqrt(P) | oracle>|^2 with every other ancilla at 0, equal to
     ``fidelity(conditional, embedded_reference(...))`` with no
     register-sized copy.  ``judge(state, P, notes)`` gives the report's
@@ -177,10 +182,14 @@ def verify_circuit(circuit: Circuit, oracle_state: StateVector, judge) -> RunRep
     reg, n = circuit.register, len(oracle_state.register)
     if reg.dims[:n] != oracle_state.register.dims:
         raise ValueError("oracle register does not match the circuit's system wires")
-    state = circuit.run()
     wires, digits = circuit.accept_rule
+    if postselect:
+        state, probability = accepted_branch(circuit)
+        block = state.tensor()
+    else:
+        state = circuit.run()
+        _, block, probability = _outcome_block(state, wires, digits)
     notes = list(circuit.meta.get("notes", ()))
-    _, block, probability = _outcome_block(state, wires, digits)
     fixed = dict(zip(wires, digits))
     # the block's axes are the unlisted wires in register order: keep the system, pin the other ancillas at 0
     conditional = block[tuple(slice(None) if p < n else 0 for p, w in enumerate(reg.ids) if w not in fixed)].ravel(order="F")

@@ -35,13 +35,25 @@ before the bond ancilla reaches them, never touch the full register.
 The same product joins the last groups into the full register state that
 ``run`` returns, with no transpose.
 
+``run(postselect=True)`` keeps only the accepted branch.  By deferred
+measurement a wire that no later op touches can be measured at once, so
+each accept wire is fixed to its accept digit right after its last op
+(found by one reverse scan of the ops), and every later op acts on a
+group smaller by that wire's dimension.  The branch is the unnormalized
+state over the other wires, equal to the full state's accepted block
+within rounding: the ops after a fix multiply smaller blocks, and BLAS
+may round a column differently when the column count changes.
+``accepted_branch`` gives the branch and its squared norm P, the readout
+of ``report.verify_circuit`` and of ``quditdicke sweep``.
+
 The readout reads the state once and allocates nothing register-sized
 except the collapsed state it returns.  ``outcome_distribution`` is one
 ``np.einsum`` that contracts the amplitudes' float64 (re, im) parts with
 themselves onto the listed wires.  ``_outcome_block`` views the block
 where the listed wires read fixed digits, with its probability from one
 ``np.vdot``; ``project_on_outcome`` multiplies it by 1/sqrt(P) straight
-into the zeroed output and ``report.verify_circuit`` judges it in place.
+into the zeroed output, and ``report.verify_circuit`` judges it in place
+for a run that draws shots, which reads the full state.
 ``sample_measure`` and the shot counts of ``qpe.run_postselected`` share
 one CDF, ``_cdf``, built as ``Generator.choice`` builds it from the exact
 marginal.  ``_draw_outcomes`` maps one ``default_rng(seed)`` uniform to
@@ -648,8 +660,9 @@ def outcome_index(register: QuditRegister, wires: Sequence, digits: Sequence[int
 
 
 def acceptance_probability(state: StateVector, accept_rule: tuple) -> float:
-    """Exact probability that the accept wires read the accept digits: the accepted block's squared
-    norm, the one readout of ``project_on_outcome`` and of the verify path."""
+    """Exact probability that the accept wires read the accept digits of a full ``state``: the accepted
+    block's squared norm, as ``project_on_outcome`` reads it.  A run that draws no shots reads P from
+    ``accepted_branch`` instead, equal within rounding."""
     return _outcome_block(state, *accept_rule)[2]
 
 
@@ -730,31 +743,98 @@ class Circuit:
             digits = tuple(int(v) for v in digits)
             if len(wires) != len(digits):
                 raise ValueError("accept_rule wires and digits differ in length")
+            if len(set(wires)) != len(wires):
+                raise ValueError("accept_rule lists a wire twice")
             for w, v in zip(wires, digits):
                 if not 0 <= v < self.register.dim(w):
                     raise ValueError(f"accept_rule digit {v} out of range for wire {w!r}")
             object.__setattr__(self, "accept_rule", (wires, digits))
 
-    def run(self, initial_digits: Sequence[int] | None = None) -> StateVector:
+    def run(self, initial_digits: Sequence[int] | None = None, *, postselect: bool = False) -> StateVector:
         """Simulate from |0...0> (or the given digits) through every op.
 
         Wires that no op has joined yet are simulated apart in groups kept
         in register order (module docstring); the result is the full state.
+
+        With ``postselect`` the result is the accepted branch instead: the
+        unnormalized amplitudes where the accept wires read the accept
+        digits, over the other wires in register order, whose squared norm
+        is the acceptance probability.  One reverse scan of the ops finds the
+        last op on each accept wire; right after it the wire is fixed to its
+        accept digit (before the first op when no op touches it), so its
+        group shrinks by the wire's dimension and every later op acts on the
+        smaller group.  No later op reads the wire, so by deferred
+        measurement the branch is the full state's accepted block, equal to
+        it within rounding.  A circuit with no accept rule, or one whose
+        accept rule lists every wire, raises ValueError.
         """
         reg = self.register
         if initial_digits is None:
             initial_digits = (0,) * len(reg)
         reg.flat_index(initial_digits)  # rejects a wrong digit count or a digit out of range
+        # (ops, then the (wire, digit) pairs to fix after them) in order; without postselect, one stage
+        stages = [(self.ops, ())]
+        if postselect:
+            if self.accept_rule is None:
+                raise ValueError("circuit has no accept rule to postselect on")
+            pending = dict(zip(*self.accept_rule))
+            if len(pending) == len(reg):
+                raise ValueError("the accept rule lists every wire, so no branch is left to return")
+            fixed_after: dict[int, list] = {}  # op index -> (wire, digit) pairs fixed right after it
+            for index in range(len(self.ops) - 1, -1, -1):  # one reverse scan meets each wire's last op first
+                if not pending:
+                    break
+                for wire in self.ops[index].wires():
+                    if wire in pending:
+                        fixed_after.setdefault(index, []).append((wire, pending.pop(wire)))
+            fixed_after[-1] = list(pending.items())  # no op touches these: fixed before the first op
+            stages, start = [], 0
+            for end in sorted(fixed_after):
+                stages.append((self.ops[start : end + 1], fixed_after[end]))
+                start = end + 1
+            stages.append((self.ops[start:], ()))
         group_of = {
             wire: new_basis_state(QuditRegister(((wire, dim),)), (digit,))
             for wire, dim, digit in zip(reg.ids, reg.dims, initial_digits)
         }
-        for op in self.ops:
-            group = _product(list(dict.fromkeys([group_of[w] for w in op.wires()])), reg)
-            if group is not group_of[op.targets[0]]:  # merged: map its wires now, which frees the parts
-                group_of.update(dict.fromkeys(group.register.ids, group))
-            apply_gate(group, op, in_place=True)
-        return StateVector(reg, _product(list(dict.fromkeys(group_of.values())), reg).amplitudes)
+        weight = 1.0  # product of the amplitudes of groups whose every wire is fixed
+        for ops, fixed in stages:
+            for op in ops:
+                group = _product(list(dict.fromkeys([group_of[w] for w in op.wires()])), reg)
+                if group is not group_of[op.targets[0]]:  # merged: map its wires now, which frees the parts
+                    group_of.update(dict.fromkeys(group.register.ids, group))
+                apply_gate(group, op, in_place=True)
+            pinned: dict = {}  # group -> {wire: digit}; the wires of one op share a group, so each slices once
+            for wire, digit in fixed:
+                pinned.setdefault(group_of.pop(wire), {})[wire] = digit
+            while pinned:  # popped and rebound, so no group outlives its slice
+                group = _fix(*pinned.popitem())
+                if isinstance(group, StateVector):
+                    group_of.update(dict.fromkeys(group.register.ids, group))
+                else:
+                    weight *= group
+        state = _product(list(dict.fromkeys(group_of.values())), reg)
+        if not postselect:
+            return StateVector(reg, state.amplitudes)
+        return state if weight == 1.0 else StateVector(state.register, state.amplitudes * weight)
+
+
+def accepted_branch(circuit: Circuit) -> tuple[StateVector, float]:
+    """(branch, P): ``circuit.run(postselect=True)`` and its squared norm, the probability that the
+    accept wires read the accept digits.  The one readout of ``report.verify_circuit`` and of
+    ``quditdicke sweep``, so both report the same P bit for bit."""
+    branch = circuit.run(postselect=True)
+    return branch, float(np.vdot(branch.amplitudes, branch.amplitudes).real)
+
+
+def _fix(state: StateVector, digits: dict):
+    """The slice of ``state`` where each wire of ``digits`` reads its digit, copied into a new state over
+    the other wires so the rejected rows are freed; the amplitude itself when every wire is fixed."""
+    ids, dims = state.register.ids, state.register.dims
+    block = state.tensor()[tuple(digits.get(w, slice(None)) for w in ids)]
+    if block.ndim == 0:
+        return block[()]
+    return StateVector(QuditRegister([(w, d) for w, d in zip(ids, dims) if w not in digits]), block.flatten(order="F"))
 
 
 def _product(states: list[StateVector], register: QuditRegister) -> StateVector:

@@ -150,8 +150,8 @@ def spec_method_cases(draw):
 
 
 def readouts(circuit, oracle):
-    """(P, F) of verify_circuit's block readout and of the register-sized cross-check:
-    project_on_outcome, then fidelity against embedded_reference."""
+    """(P, F) of verify_circuit's branch readout and of the register-sized cross-check:
+    project_on_outcome on the full state, then fidelity against embedded_reference."""
     report = verify_circuit(circuit, oracle, lambda state, probability, notes: (probability, 0.0, None))
     wires, digits = circuit.accept_rule
     probability, conditional = project_on_outcome(circuit.run(), wires, digits)
@@ -161,7 +161,8 @@ def readouts(circuit, oracle):
 
 def assert_same_readout(circuit, oracle):
     (block_p, block_f), (full_p, full_f) = readouts(circuit, oracle)
-    assert block_p.hex() == full_p.hex()
+    # two simulations: the branch's ops after a fix multiply fewer columns, which BLAS may round differently
+    assert abs(block_p - full_p) <= 4 * np.finfo(float).eps
     assert abs(block_f - full_f) <= 1e-12
     return full_p, full_f
 

@@ -175,8 +175,18 @@ _SPIN_1E400 = ["--family", "spin-s", "--n", "2", "--s", "1e400", "--k", "1"]
         (["prepare", "--family", "spin-s", "--n", "2", "--s", "100000000000000000000", "--k", "1", "--method", "sequential"], "2 sites"),
         (["prepare", "--family", "spin-s", "--n", "100000000", "--s", "0.5", "--k", "1", "--method", "sequential"], "100000000 sites"),
         (["prepare", "--family", "sud", "--n", "100000000", "--kvec", "50000000,50000000", "--method", "fanout"], "100000000 sites"),
+        (["export-circuit", *_SPIN_1E400, "--method", "qpe-log"], "2 sites"),
+        (["export-circuit", "--family", "spin-s", "--n", "2", "--s", "100000000000000000000", "--k", "1", "--method", "sequential"], "2 sites"),
     ],
-    ids=["prepare-huge-dim", "sweep-huge-dim", "prepare-sequential-huge-dim", "prepare-huge-n", "prepare-sud-huge-n"],
+    ids=[
+        "prepare-huge-dim",
+        "sweep-huge-dim",
+        "prepare-sequential-huge-dim",
+        "prepare-huge-n",
+        "prepare-sud-huge-n",
+        "export-huge-dim",
+        "export-sequential-huge-dim",
+    ],
 )
 def test_oversized_spec_is_rejected_before_building(argv, register, capsys, monkeypatch):
     # the site amplitudes of 2s = 2e400 overflow a float and 2^(10^8) amplitudes are never formed:

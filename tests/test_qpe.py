@@ -31,7 +31,7 @@ from quditdicke.reference import (
 from quditdicke.sim import (
     QuditRegister,
     StateVector,
-    acceptance_probability,
+    accepted_branch,
     apply_gate,
     fidelity,
     new_basis_state,
@@ -576,7 +576,7 @@ def test_acceptance_probability_is_the_verify_readout(method):
     for spec in spin_s_grid(2, 4):
         circuit = BUILDERS["spin-s"][method](spec)
         report = run_postselected(circuit, spin_s_dicke(spec))
-        assert acceptance_probability(circuit.run(), circuit.accept_rule) == report.acceptance_probability
+        assert accepted_branch(circuit)[1] == report.acceptance_probability
 
 
 def test_shot_counts_hold_one_block_of_draws():

@@ -441,6 +441,106 @@ def test_circuit_run_peak_memory_in_full_vectors(build, spec, most):
     assert peak <= most * circuit.register.size * 16 + 2**16
 
 
+_BRANCH_SPECS = {
+    "spin-s": (DickeSpecSpinS(2, 2, 1), DickeSpecSpinS(3, 1, 2)),
+    # the sud fan-out register of (1, 1, 1) holds 8.5 million amplitudes, so that method reads (2, 1) alone
+    "sud": (DickeSpecSUD(3, (1, 1, 1)), DickeSpecSUD(3, (2, 1))),
+}
+_BRANCH_CASES = [
+    (family, method, spec)
+    for family, specs in _BRANCH_SPECS.items()
+    for method in ("sequential", "qpe-log", "hadamard", "fanout")
+    for spec in specs
+    if not (family == "sud" and method == "fanout" and spec.d == 3)
+]
+
+
+@pytest.mark.parametrize("family, method, spec", _BRANCH_CASES, ids=[f"{f}-{m}-{s.n}" + (f"-{s.d}" if f == "sud" else "") for f, m, s in _BRANCH_CASES])
+def test_postselected_run_is_the_accepted_block(family, method, spec, monkeypatch):
+    import quditdicke.sim as sim
+
+    builder = _SEQUENTIAL[family] if method == "sequential" else BUILDERS[family][method]
+    circuit = builder(spec)
+    wires, digits = circuit.accept_rule
+    select, block, probability = sim._outcome_block(circuit.run(), wires, digits)
+    position = {wire: p for p, wire in enumerate(circuit.register.ids)}
+    seen = []
+
+    def recording_apply_gate(state, op, **kwargs):
+        seen.append([position[wire] for wire in state.register.ids])
+        return apply_gate(state, op, **kwargs)
+
+    monkeypatch.setattr(sim, "apply_gate", recording_apply_gate)
+    branch = circuit.run(postselect=True)
+    assert branch.register.ids == tuple(w for w in circuit.register.ids if w not in wires)
+    assert all(positions == sorted(positions) for positions in seen)
+    expected = block.ravel(order="F")  # the block's axes are the other wires in register order
+    # every kernel but the block product acts on each amplitude alone, so ops on a smaller group round
+    # alike; the branch is the block bit for bit unless an Hd, HdDag or DenseUnitary follows a fix
+    first_fix = min(max((i for i, op in enumerate(circuit.ops) if w in op.wires()), default=-1) for w in wires)
+    exact = not any(op.kind in ("Hd", "HdDag", "DenseUnitary") for op in circuit.ops[first_fix + 1 :])
+    if method == "sequential" or (family == "spin-s" and method != "fanout"):
+        assert exact
+    if exact:
+        assert np.array_equal(branch.amplitudes, expected)
+        assert sim.accepted_branch(circuit)[1] == probability
+    else:
+        assert np.max(np.abs(branch.amplitudes - expected)) <= 1e-15
+        assert abs(sim.accepted_branch(circuit)[1] - probability) <= 1e-15
+
+
+@settings(deadline=None, max_examples=200)
+@given(circuit_cases(), st.data())
+def test_postselected_run_matches_the_full_block(case, data):
+    # random accept wires, some fixed while alone in their group and some never touched by an op
+    from quditdicke.sim import _outcome_block
+
+    register, ops, digits = case
+    positions = data.draw(st.lists(st.integers(0, len(register) - 1), min_size=1, max_size=len(register) - 1, unique=True))
+    wires = tuple(register.ids[p] for p in positions)
+    accept = tuple(data.draw(st.integers(0, register.dims[p] - 1)) for p in positions)
+    circuit = Circuit(register, ops, accept_rule=(wires, accept))
+    _, block, _ = _outcome_block(circuit.run(digits), wires, accept)
+    branch = circuit.run(digits, postselect=True)
+    assert branch.register.ids == tuple(w for w in register.ids if w not in wires)
+    assert np.allclose(branch.amplitudes, block.ravel(order="F"), rtol=0, atol=1e-12)
+
+
+def test_postselected_run_never_holds_the_register():
+    # the two 9-level ancillas are fixed one after the other, so the second charge is read on a ninth
+    # of the first's group, and no group ever holds both
+    circuit = BUILDERS["sud"]["hadamard"](DickeSpecSUD(8, (3, 3, 2)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        circuit.run(postselect=True)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.3 * circuit.register.size * 16
+
+
+def test_postselected_run_fixes_an_untouched_accept_wire_first():
+    reg = QuditRegister([("s1", 2), ("q0", 3)])
+    ops = [rot("s1", 0, 1.0)]
+    expected = Circuit(reg, ops).run().amplitudes[:2]
+    branch = Circuit(reg, ops, accept_rule=(("q0",), (0,))).run(postselect=True)
+    assert branch.register.ids == ("s1",)
+    assert np.array_equal(branch.amplitudes, expected)
+    branch = Circuit(reg, ops, accept_rule=(("q0",), (2,))).run(postselect=True)
+    assert np.array_equal(branch.amplitudes, np.zeros(2))  # q0 starts at 0 and no op moves it: P = 0
+
+
+def test_postselected_run_needs_a_branch_to_return():
+    reg = QuditRegister.of_dims([2, 2])
+    with pytest.raises(ValueError, match="no accept rule"):
+        Circuit(reg, [hd(0)]).run(postselect=True)
+    with pytest.raises(ValueError, match="lists every wire"):
+        Circuit(reg, [hd(0)], accept_rule=((0, 1), (0, 0))).run(postselect=True)
+    with pytest.raises(ValueError, match="lists a wire twice"):
+        Circuit(reg, [hd(0)], accept_rule=((1, 1), (0, 0)))
+
+
 def _controlled_view(amplitudes, register, op):
     """The controlled subspace of ``op`` with its target axes first, as apply_gate builds it."""
     tpos = [register.position(w) for w in op.targets]
