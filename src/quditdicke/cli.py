@@ -12,6 +12,7 @@ the exchange format.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -250,10 +251,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``cli_main``, built on its first call; ``parse_args`` leaves it unchanged."""
+    return build_parser()
+
+
 def cli_main(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -2,10 +2,12 @@
 
 Everything here is computed independently of the circuit builders so it
 can serve as the oracle they are judged against.  Binomials and
-multinomials are exact arbitrary-precision integers; amplitude ratios go
-through exact rationals before the final square root, which keeps the
-d=2 reduction of the multilevel family bitwise identical to the spin-1/2
-closed form.
+multinomials are exact arbitrary-precision integers; an amplitude ratio
+is an exact rational rounded once, by correctly rounded integer division,
+before the final square root, which keeps the d=2 reduction of the
+multilevel family bitwise identical to the spin-1/2 closed form.  The
+bond coefficients come as rows, one per (site, bond label), so a row
+evaluates its denominator once.
 
 Every quantity folded over the sites of a digit string (the charge sum,
 the product of site weights, the occupation key, a level count) comes
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -142,28 +143,38 @@ def sud_dicke(spec: DickeSpecSUD) -> StateVector:
     return StateVector(register, amps.astype(np.complex128))
 
 
-def gamma_spin_s(n: int, twice_s: int, k: int, i: int, j: int, m: int) -> float:
-    """Site-i emission coefficient of the spin-s bond factorization.
+def gamma_row_spin_s(n: int, twice_s: int, k: int, i: int, j: int) -> tuple[float, ...]:
+    """Site-i emission row of bond label j in the spin-s bond factorization, levels m = 0..2s.
 
-    sqrt(C(2s(n-i), k-j-m) * C(2s, m) / C(2s(n-i+1), k-j)) with the
-    out-of-range binomial convention; returns 0.0 (never NaN) when the
-    denominator binomial vanishes.
+    Entry m is sqrt(C(2s(n-i), k-j-m) * C(2s, m) / C(2s(n-i+1), k-j)) with
+    the out-of-range binomial convention, 0.0 (never NaN) when either
+    binomial vanishes; the denominator binomial is evaluated once per row.
+    Exact integers divide by correctly rounded true division, as a reduced
+    ``Fraction`` converts.
     """
     den = binomial(twice_s * (n - i + 1), k - j)
     if den == 0:
-        return 0.0
-    num = binomial(twice_s * (n - i), k - j - m) * binomial(twice_s, m)
-    if num == 0:
-        return 0.0
-    return math.sqrt(float(Fraction(num, den)))
+        return (0.0,) * (twice_s + 1)
+    rest = twice_s * (n - i)
+    nums = [binomial(rest, k - j - m) * binomial(twice_s, m) for m in range(twice_s + 1)]
+    return tuple([math.sqrt(num / den) if num else 0.0 for num in nums])
 
 
-def gamma_sud(n: int, kvec, i: int, a, m: int) -> float:
-    """Site-i emission coefficient of the multilevel bond factorization.
+def gamma_spin_s(n: int, twice_s: int, k: int, i: int, j: int, m: int) -> float:
+    """Entry m of ``gamma_row_spin_s``; 0.0 for a level m outside 0..2s."""
+    row = gamma_row_spin_s(n, twice_s, k, i, j)
+    return row[m] if 0 <= m < len(row) else 0.0
+
+
+def gamma_row_sud(n: int, kvec, i: int, a) -> tuple[float, ...]:
+    """Site-i emission row of partial occupation ``a`` in the multilevel bond factorization, levels m = 0..d-1.
 
     ``a`` must be a valid partial occupation at bond i-1 (0 <= a_j <= k_j,
-    sum(a) = i-1); the coefficient is zero unless a + unit(m) stays within
-    the occupation bounds.
+    sum(a) = i-1).  With the remaining occupations r = kvec - a, summing to
+    N = n-i+1, entry m is sqrt(multinomial(N-1; r - unit(m)) / multinomial(N; r)),
+    zero unless a + unit(m) stays within the occupation bounds.  The
+    multinomial ratio is r_m / N exactly, so the row divides r_m by the
+    one denominator N, correctly rounded as a reduced ``Fraction`` converts.
     """
     kvec = tuple(int(v) for v in kvec)
     a = tuple(int(v) for v in a)
@@ -171,17 +182,18 @@ def gamma_sud(n: int, kvec, i: int, a, m: int) -> float:
         raise ValueError("partial occupation has wrong length")
     if any(not 0 <= aj <= kj for aj, kj in zip(a, kvec)) or sum(a) != i - 1:
         raise ValueError(f"{a} is not a level-{i - 1} element for {kvec}")
-    if not 0 <= m < len(kvec):
+    if sum(kvec) != n:
+        raise ValueError(f"occupations {kvec} do not sum to n={n}")
+    rest = n - i + 1
+    return tuple([math.sqrt((kj - aj) / rest) if kj > aj else 0.0 for kj, aj in zip(kvec, a)])
+
+
+def gamma_sud(n: int, kvec, i: int, a, m: int) -> float:
+    """Entry m of ``gamma_row_sud``; a level m outside 0..d-1 raises ValueError."""
+    row = gamma_row_sud(n, kvec, i, a)
+    if not 0 <= m < len(row):
         raise ValueError(f"level {m} out of range")
-    if a[m] + 1 > kvec[m]:
-        return 0.0
-    rem = [kj - aj for kj, aj in zip(kvec, a)]
-    den = multinomial(n - i + 1, rem)
-    rem[m] -= 1
-    num = multinomial(n - i, rem)
-    if num == 0 or den == 0:
-        return 0.0
-    return math.sqrt(float(Fraction(num, den)))
+    return row[m]
 
 
 def _check_uniform(state: StateVector, dim: int) -> None:

@@ -3,9 +3,10 @@
 Logical depth is greedy layering: ops are visited in emission order and
 each lands on the earliest layer after the last use of any wire it
 touches.  Ops sharing a ``layer_tag`` are treated as one compound gate
-(wire set = union), which implements the one-layer accounting for
-fan-out blocks and controlled charge phases; tags live only in memory,
-never in the exchange format.
+(wire set = union) placed at the tag's first op, which implements the
+one-layer accounting for fan-out blocks and controlled charge phases;
+tags live only in memory, never in the exchange format.  One pass
+gathers each tag's union and a second pass layers the ops.
 """
 
 from __future__ import annotations
@@ -23,24 +24,27 @@ import numpy as np
 from .sim import Circuit, StateVector, _outcome_block, accepted_branch
 
 def logical_depth(circuit: Circuit) -> int:
-    groups: list[set] = []
     tagged: dict[str, set] = {}
     for op in circuit.ops:
-        wires = set(op.wires())
-        if op.layer_tag is None:
-            groups.append(wires)
-        elif op.layer_tag in tagged:
-            tagged[op.layer_tag].update(wires)
-        else:
-            tagged[op.layer_tag] = wires
-            groups.append(wires)
+        tag = op.layer_tag
+        if tag in tagged:
+            tagged[tag].update(op.wires())
+        elif tag is not None:
+            tagged[tag] = set(op.wires())
     last: dict = {}
     depth = 0
-    for wires in groups:
-        layer = 1 + max((last.get(w, -1) for w in wires), default=-1)
+    for op in circuit.ops:
+        if op.layer_tag is None:
+            wires = op.wires()
+        else:
+            wires = tagged.pop(op.layer_tag, None)
+            if wires is None:  # a later op of a tag already placed
+                continue
+        layer = 1 + max([last.get(w, -1) for w in wires], default=-1)
         for w in wires:
             last[w] = layer
-        depth = max(depth, layer + 1)
+        if layer >= depth:
+            depth = layer + 1
     return depth
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .levelsets import LevelSetIndex, build_level_sets
-from .reference import DickeSpecSpinS, DickeSpecSUD, gamma_spin_s, gamma_sud
+from .reference import DickeSpecSpinS, DickeSpecSUD, gamma_row_spin_s, gamma_row_sud
 from .report import RunReport, verify_circuit
 from .sim import (
     ANCILLA_ACCEPT,
@@ -64,7 +64,7 @@ def spin_s_l_range(n: int, twice_s: int, k: int, i: int) -> range:
 def _emitter_gates_spin_s(n: int, twice_s: int, k: int, i: int, l: int) -> list[GateOp]:
     chi = k + 1
     system = f"s{i}"
-    gammas = [gamma_spin_s(n, twice_s, k, i, l, m) for m in range(twice_s + 1)]
+    gammas = gamma_row_spin_s(n, twice_s, k, i, l)
     if not any(gammas):
         return []
     angles = rotation_cascade_angles(gammas)
@@ -150,7 +150,7 @@ def build_i_sud(n: int, kvec, i: int, a, levels: LevelSetIndex) -> list[GateOp]:
     a = tuple(int(v) for v in a)
     p = levels.label(i - 1, a)
     system = f"s{i}"
-    gammas = [gamma_sud(n, kvec, i, a, m) for m in range(d)]
+    gammas = gamma_row_sud(n, kvec, i, a)
     labels_to = []
     for m in range(d):
         bumped = a[:m] + (a[m] + 1,) + a[m + 1 :]

@@ -26,9 +26,14 @@ made.  Results are deterministic for a fixed input.
 ``Circuit.run`` keeps the state factorized: each wire maps to the
 StateVector of the group that holds it, and every group lists its wires
 in register order.  Every wire starts in its own one-wire group at its
-initial digit.  Before an op acts, the distinct groups of its wires are
-merged into one new array by broadcast multiplies, and ``apply_gate`` acts
-in place on the merged group alone.  A wire that no op has yet joined to
+initial digit.  An op that is the identity by construction, a PhaseK
+with num 0 or a Rot with theta 0 (the zero-phase placeholders that keep
+a multilevel emission block at 3d gates, and the rotations of vanishing
+coefficients), is left out of the run: it neither runs nor joins groups,
+while ``Circuit.ops`` and every gate count and depth still include it.
+Before an op acts, the distinct groups of its wires are merged into one
+new array by broadcast multiplies, and ``apply_gate`` acts in place on
+the merged group alone.  A wire that no op has yet joined to
 the others costs d amplitudes, so the one-wire preparation cascades that
 open the probabilistic circuits, and the sites of a sequential circuit
 before the bond ancilla reaches them, never touch the full register.
@@ -37,11 +42,11 @@ The same product joins the last groups into the full register state that
 
 ``run(postselect=True)`` keeps only the accepted branch.  By deferred
 measurement a wire that no later op touches can be measured at once, so
-each accept wire is fixed to its accept digit right after its last op
-(found by one reverse scan of the ops), and every later op acts on a
-group smaller by that wire's dimension.  The branch is the unnormalized
-state over the other wires, equal to the full state's accepted block
-within rounding: the ops after a fix multiply smaller blocks, and BLAS
+each accept wire is fixed to its accept digit right after its last
+acting op (found by one reverse scan of the acting ops), and every later
+op acts on a group smaller by that wire's dimension.  The branch is the
+unnormalized state over the other wires, equal to the full state's
+accepted block within rounding: the ops after a fix multiply smaller blocks, and BLAS
 may round a column differently when the column count changes.
 ``accepted_branch`` gives the branch and its squared norm P, the readout
 of ``report.verify_circuit`` and of ``quditdicke sweep``.
@@ -503,12 +508,14 @@ def _swap_kernel(op, tdims, view):
 def _sum_kernel(op, tdims, view):
     da, db = tdims
     sign = 1 if op.kind == "Sum" else -1
-    # the x = 0 fiber stays; every other fiber shifts cyclically by x through one held fiber
+    # the x = 0 fiber stays; every other fiber shifts cyclically by r = sign*x mod da through one held
+    # fiber, as two slice moves: levels below da - r move up by r, the top r levels wrap to the bottom
     fiber = np.empty_like(view[:, 0, ...])
     for x in range(1, db):
+        r = sign * x % da
         fiber[...] = view[:, x, ...]
-        for y in range(da):
-            view[(y + sign * x) % da, x, ...] = fiber[y, ...]
+        view[r:, x, ...] = fiber[: da - r, ...]
+        view[:r, x, ...] = fiber[da - r :, ...]
 
 
 def _rot_kernel(op, tdims, view):
@@ -562,6 +569,17 @@ _KERNELS = {
     "PhaseK": _phase_kernel,
     "DenseUnitary": _matmul_kernel,
 }
+
+
+def _acts(op: GateOp) -> bool:
+    """False for an op that is the identity by construction, which ``Circuit.run`` leaves out: a PhaseK
+    with num 0 or a Rot with theta 0.  Any other op may act, and runs."""
+    kind = op.kind
+    if kind == "PhaseK":
+        return op.params["num"] != 0
+    if kind == "Rot":
+        return op.params["theta"] != 0.0
+    return True
 
 
 def apply_gate(state: StateVector, op: GateOp, *, in_place: bool = False) -> StateVector:
@@ -751,19 +769,23 @@ class Circuit:
             object.__setattr__(self, "accept_rule", (wires, digits))
 
     def run(self, initial_digits: Sequence[int] | None = None, *, postselect: bool = False) -> StateVector:
-        """Simulate from |0...0> (or the given digits) through every op.
+        """Simulate from |0...0> (or the given digits) through every op that acts.
 
-        Wires that no op has joined yet are simulated apart in groups kept
-        in register order (module docstring); the result is the full state.
+        An op that is the identity by construction, a PhaseK with num 0 or a
+        Rot with theta 0 (``_acts``), is left out: it neither runs nor joins
+        groups.  ``ops``, and so the gate count and depth, still hold it.
+        Every other op runs through ``apply_gate``, once.  Wires that no op
+        has joined yet are simulated apart in groups kept in register order
+        (module docstring); the result is the full state.
 
         With ``postselect`` the result is the accepted branch instead: the
         unnormalized amplitudes where the accept wires read the accept
         digits, over the other wires in register order, whose squared norm
-        is the acceptance probability.  One reverse scan of the ops finds the
-        last op on each accept wire; right after it the wire is fixed to its
-        accept digit (before the first op when no op touches it), so its
-        group shrinks by the wire's dimension and every later op acts on the
-        smaller group.  No later op reads the wire, so by deferred
+        is the acceptance probability.  One reverse scan of the acting ops
+        finds the last of them on each accept wire; right after it the wire
+        is fixed to its accept digit (before the first op when no acting op
+        touches it), so its group shrinks by the wire's dimension and every
+        later op acts on the smaller group.  No later op reads the wire, so by deferred
         measurement the branch is the full state's accepted block, equal to
         it within rounding.  A circuit with no accept rule, or one whose
         accept rule lists every wire, raises ValueError.
@@ -772,8 +794,9 @@ class Circuit:
         if initial_digits is None:
             initial_digits = (0,) * len(reg)
         reg.flat_index(initial_digits)  # rejects a wrong digit count or a digit out of range
+        ops = [op for op in self.ops if _acts(op)]
         # (ops, then the (wire, digit) pairs to fix after them) in order; without postselect, one stage
-        stages = [(self.ops, ())]
+        stages = [(ops, ())]
         if postselect:
             if self.accept_rule is None:
                 raise ValueError("circuit has no accept rule to postselect on")
@@ -781,25 +804,25 @@ class Circuit:
             if len(pending) == len(reg):
                 raise ValueError("the accept rule lists every wire, so no branch is left to return")
             fixed_after: dict[int, list] = {}  # op index -> (wire, digit) pairs fixed right after it
-            for index in range(len(self.ops) - 1, -1, -1):  # one reverse scan meets each wire's last op first
+            for index in range(len(ops) - 1, -1, -1):  # one reverse scan meets each wire's last acting op first
                 if not pending:
                     break
-                for wire in self.ops[index].wires():
+                for wire in ops[index].wires():
                     if wire in pending:
                         fixed_after.setdefault(index, []).append((wire, pending.pop(wire)))
-            fixed_after[-1] = list(pending.items())  # no op touches these: fixed before the first op
+            fixed_after[-1] = list(pending.items())  # no acting op touches these: fixed before the first op
             stages, start = [], 0
             for end in sorted(fixed_after):
-                stages.append((self.ops[start : end + 1], fixed_after[end]))
+                stages.append((ops[start : end + 1], fixed_after[end]))
                 start = end + 1
-            stages.append((self.ops[start:], ()))
+            stages.append((ops[start:], ()))
         group_of = {
             wire: new_basis_state(QuditRegister(((wire, dim),)), (digit,))
             for wire, dim, digit in zip(reg.ids, reg.dims, initial_digits)
         }
         weight = 1.0  # product of the amplitudes of groups whose every wire is fixed
-        for ops, fixed in stages:
-            for op in ops:
+        for stage, fixed in stages:
+            for op in stage:
                 group = _product(list(dict.fromkeys([group_of[w] for w in op.wires()])), reg)
                 if group is not group_of[op.targets[0]]:  # merged: map its wires now, which frees the parts
                     group_of.update(dict.fromkeys(group.register.ids, group))

@@ -58,8 +58,8 @@ from .reference import (
     apply_charge_conjugation,
     charge_moments_spin_s,
     charge_moments_sud,
-    gamma_spin_s,
-    gamma_sud,
+    gamma_row_spin_s,
+    gamma_row_sud,
     probability_spin_s,
     probability_sud,
     spin_s_dicke,
@@ -123,15 +123,15 @@ def _family(spec) -> tuple[str, str]:
 
 
 def _bond_factorization(spec):
-    """Site dimension, bond labels before site i, label step, coefficient(i, label, m),
-    label name in detail lines, and the labels before the first and after the last site."""
+    """Site dimension, bond labels before site i, label step, coefficient row(i, label) over the site
+    levels, label name in detail lines, and the labels before the first and after the last site."""
     if isinstance(spec, DickeSpecSpinS):
         n, twice_s, k = spec.n, spec.twice_s, spec.k
         return (
             spec.dim,
             lambda i: range(k + 1),
             operator.add,
-            lambda i, j, m: gamma_spin_s(n, twice_s, k, i, j, m),
+            lambda i, j: gamma_row_spin_s(n, twice_s, k, i, j),
             "l",
             (0, k),
         )
@@ -140,7 +140,7 @@ def _bond_factorization(spec):
         spec.d,
         lambda i: levels.elements(i - 1),
         lambda a, m: a[:m] + (a[m] + 1,) + a[m + 1 :],
-        lambda i, a, m: gamma_sud(spec.n, spec.kvec, i, a, m),
+        lambda i, a: gamma_row_sud(spec.n, spec.kvec, i, a),
         "a",
         ((0,) * spec.d, spec.kvec),
     )
@@ -313,13 +313,13 @@ def criterion_mps_canonical(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> Cri
     failures: list[str] = []
     for spec in itertools.chain(spin_s_grid(3, 5), sud_grid(4, 5)):
         family, label = _family(spec)
-        dim, labels, step, coefficient, name, (first, last) = _bond_factorization(spec)
+        dim, labels, step, row_of, name, (first, last) = _bond_factorization(spec)
         # amplitudes of every digit string of the sites so far, by the bond label it ends on
         prefix = {first: np.ones(1)}
         for i in range(1, spec.n + 1):
             rows = {}
             for bond in labels(i):
-                row = rows[bond] = [coefficient(i, bond, m) for m in range(dim)]
+                row = rows[bond] = row_of(i, bond)
                 total = sum(g * g for g in row)
                 if any(row) and abs(total - 1.0) > ATOL_IDENTITY:
                     failures.append(f"{family} row {label} i={i} {name}={bond}: sum {total!r}")

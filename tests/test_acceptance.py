@@ -96,14 +96,14 @@ def test_sequential_amplitudes_match_the_oracle():
     "name, row_of, row_line, contraction_line",
     [
         (
-            "gamma_spin_s",
-            lambda n, twice_s, k, i, j, m: (n, twice_s, k, i, j) == (3, 2, 3, 2, 1),
+            "gamma_row_spin_s",
+            lambda n, twice_s, k, i, j: (n, twice_s, k, i, j) == (3, 2, 3, 2, 1),
             "spin-s row n=3 2s=2 k=3 i=2 l=1: sum",
             "spin-s contraction n=3 2s=2 k=3 digits=",
         ),
         (
-            "gamma_sud",
-            lambda n, kvec, i, a, m: (n, tuple(kvec), i, tuple(a)) == (4, (2, 1, 1), 3, (1, 1, 0)),
+            "gamma_row_sud",
+            lambda n, kvec, i, a: (n, tuple(kvec), i, tuple(a)) == (4, (2, 1, 1), 3, (1, 1, 0)),
             "sud row n=4 kvec=(2, 1, 1) i=3 a=(1, 1, 0): sum",
             "sud contraction n=4 kvec=(2, 1, 1) digits=",
         ),
@@ -116,7 +116,7 @@ def test_mps_criterion_catches_a_wrong_coefficient(monkeypatch, name, row_of, ro
     exact = getattr(suites, name)
 
     def scaled(*args):
-        return exact(*args) * (1.001 if row_of(*args) else 1.0)
+        return tuple(g * (1.001 if row_of(*args) else 1.0) for g in exact(*args))
 
     monkeypatch.setattr(suites, name, scaled)
     result = suites.criterion_mps_canonical()

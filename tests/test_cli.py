@@ -157,6 +157,29 @@ def test_usage_errors_exit_2():
     assert run_cli(["prepare", "--family", "bogus", "--n", "2"]) == 2
 
 
+def test_one_parser_serves_every_call_and_keeps_its_usage_errors(capsys, monkeypatch):
+    from quditdicke import cli
+
+    built, build_parser = [], cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    argv = ["levelsets", "--kvec", "1,1"]
+    assert run_cli(argv) == 0
+    first = capsys.readouterr()
+    assert run_cli(["levelsets"]) == 2
+    assert "the following arguments are required: --kvec" in capsys.readouterr().err
+    assert run_cli(["levelsets", "--kvec", "1,1", "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert run_cli(argv) == 0
+    assert capsys.readouterr() == first
+    assert len(built) == 1
+
+
 def test_amplitude_cap_guard(capsys):
     code = run_cli(["prepare", "--family", "spin-s", "--n", "4", "--s", "1", "--k", "4", "--method", "fanout"])
     assert code == 2

@@ -1,6 +1,7 @@
 """Tests for the closed-form states, combinatorics, and probability formulas."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from quditdicke.reference import (
     binomial,
     charge_moments_spin_s,
     charge_moments_sud,
+    gamma_row_spin_s,
+    gamma_row_sud,
     gamma_spin_s,
     gamma_sud,
     multinomial,
@@ -20,6 +23,7 @@ from quditdicke.reference import (
     spin_s_dicke,
     sud_dicke,
 )
+from quditdicke.levelsets import build_level_sets
 from quditdicke.sim import QuditRegister, StateVector, fidelity
 from quditdicke.suites import spin_s_grid, sud_grid
 
@@ -159,6 +163,62 @@ def test_gamma_rows_complete():
         i = sum(a) + 1
         total = sum(gamma_sud(3, (1, 1, 1), i, a, m) ** 2 for m in range(3))
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def _exact_spin_s(n, twice_s, k, i, j, m):
+    """The coefficient as an exact rational C(2s(n-i), k-j-m) C(2s, m) / C(2s(n-i+1), k-j), then one float."""
+    den = binomial(twice_s * (n - i + 1), k - j)
+    num = binomial(twice_s * (n - i), k - j - m) * binomial(twice_s, m) if den else 0
+    return math.sqrt(float(Fraction(num, den))) if num else 0.0
+
+
+def _exact_sud(n, kvec, i, a, m):
+    """The coefficient as the exact multinomial ratio of the remaining occupations, then one float."""
+    rem = [kj - aj for kj, aj in zip(kvec, a)]
+    if rem[m] == 0:
+        return 0.0
+    den = multinomial(n - i + 1, rem)
+    rem[m] -= 1
+    return math.sqrt(float(Fraction(multinomial(n - i, rem), den)))
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_bond_rows_are_the_coefficients_bit_for_bit():
+    # every row that criteria 1 and 7 (spin-s, 2s <= 3, n <= 5) and criteria 2 and 7 (d <= 4, n <= 5) read
+    rows = 0
+    for spec in spin_s_grid(3, 5):
+        n, twice_s, k = spec.n, spec.twice_s, spec.k
+        for i in range(1, n + 1):
+            for j in range(k + 1):
+                row = gamma_row_spin_s(n, twice_s, k, i, j)
+                assert _bits(row) == _bits(gamma_spin_s(n, twice_s, k, i, j, m) for m in range(twice_s + 1))
+                assert _bits(row) == _bits(_exact_spin_s(n, twice_s, k, i, j, m) for m in range(twice_s + 1))
+                rows += 1
+    for spec in sud_grid(4, 5):
+        levels = build_level_sets(spec.kvec)
+        for i in range(1, spec.n + 1):
+            for a in levels.elements(i - 1):
+                row = gamma_row_sud(spec.n, spec.kvec, i, a)
+                assert _bits(row) == _bits(gamma_sud(spec.n, spec.kvec, i, a, m) for m in range(spec.d))
+                assert _bits(row) == _bits(_exact_sud(spec.n, spec.kvec, i, a, m) for m in range(spec.d))
+                rows += 1
+    assert rows == 3787  # the grids are not empty
+
+
+def test_bond_coefficients_keep_their_argument_checks():
+    assert gamma_spin_s(3, 1, 1, 1, 0, 2) == 0.0  # a level above 2s emits nothing
+    assert gamma_spin_s(3, 1, 1, 1, 0, -1) == 0.0
+    with pytest.raises(ValueError, match="level 3 out of range"):
+        gamma_sud(3, (1, 1, 1), 1, (0, 0, 0), 3)
+    with pytest.raises(ValueError, match="wrong length"):
+        gamma_row_sud(3, (1, 1, 1), 1, (0, 0))
+    with pytest.raises(ValueError, match="not a level-1 element"):
+        gamma_row_sud(3, (1, 1, 1), 2, (2, 0, 0))
+    with pytest.raises(ValueError, match="do not sum to n=4"):
+        gamma_row_sud(4, (1, 1, 1), 1, (0, 0, 0))
 
 
 def test_oracles_match_the_closed_form_entry_by_entry():

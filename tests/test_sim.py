@@ -298,6 +298,35 @@ def test_apply_gate_matches_naive_oracle_every_kind(case):
     assert np.array_equal(state.amplitudes, before)
 
 
+@st.composite
+def sum_cases(draw):
+    """(register dims, Sum or SumDag op, seed) on 2 to 4 wires whose target dims reach 5, so a source
+    digit can be a multiple of the destination dimension."""
+    kind = draw(st.sampled_from(("Sum", "SumDag")))
+    dims = draw(st.lists(st.integers(2, 5), min_size=2, max_size=4))
+    op, seed = _draw_op(draw, kind, 2, dims, range(len(dims)))
+    return dims, op, seed
+
+
+@example(([2, 5], sum_dag(0, 1), 0))
+@example(([5, 2, 3], sum_(2, 0, controls=((1, 1),)), 1))
+@settings(deadline=None, max_examples=100)
+@given(sum_cases())
+def test_sum_kernel_is_the_level_by_level_shift(case):
+    # the kernel's two slice moves per source digit against the per-level moves they replace, bit for bit
+    dims, op, seed = case
+    state = random_state(QuditRegister.of_dims(dims), np.random.default_rng(seed))
+    expected = state.amplitudes.copy()
+    view = _controlled_view(expected, state.register, op)
+    da, db = view.shape[:2]
+    sign = 1 if op.kind == "Sum" else -1
+    for x in range(1, db):
+        fiber = view[:, x, ...].copy()
+        for y in range(da):
+            view[(y + sign * x) % da, x, ...] = fiber[y, ...]
+    assert apply_gate(state, op).amplitudes.tobytes() == expected.tobytes()
+
+
 @settings(deadline=None, max_examples=200)
 @given(gate_cases())
 def test_apply_gate_in_place_returns_its_input_with_the_pure_result(case):
@@ -384,6 +413,11 @@ _SEQUENTIAL = {"spin-s": build_sequential_spin_s, "sud": build_sequential_sud}
 _SMALL_SPECS = {"spin-s": DickeSpecSpinS(2, 2, 2), "sud": DickeSpecSUD(2, (1, 1, 0))}
 
 
+def _is_placeholder(op):
+    """An op that is the identity by construction, which Circuit.run leaves out: PhaseK num 0, Rot theta 0."""
+    return (op.kind == "PhaseK" and op.params["num"] == 0) or (op.kind == "Rot" and op.params["theta"] == 0.0)
+
+
 @pytest.mark.parametrize("family", ["spin-s", "sud"])
 @pytest.mark.parametrize("method", ["sequential", "qpe-log", "hadamard", "fanout"])
 def test_circuit_run_matches_dense_path(family, method):
@@ -412,7 +446,8 @@ def test_circuit_run_keeps_every_group_in_register_order(family, method, monkeyp
 
     monkeypatch.setattr(sim, "apply_gate", recording_apply_gate)
     circuit.run()
-    assert len(seen) == len(circuit.ops)
+    # the ops that are the identity by construction are left out of the run
+    assert len(seen) == sum(1 for op in circuit.ops if not _is_placeholder(op))
     for positions in seen:
         assert positions == sorted(positions)
 
@@ -518,6 +553,73 @@ def test_postselected_run_never_holds_the_register():
     finally:
         tracemalloc.stop()
     assert peak < 0.3 * circuit.register.size * 16
+
+
+@pytest.mark.parametrize("family, method, spec", _BRANCH_CASES, ids=[f"{f}-{m}-{s.n}" + (f"-{s.d}" if f == "sud" else "") for f, m, s in _BRANCH_CASES])
+def test_run_without_placeholders_equals_the_run_over_all_ops(family, method, spec, monkeypatch):
+    import quditdicke.sim as sim
+
+    builder = _SEQUENTIAL[family] if method == "sequential" else BUILDERS[family][method]
+    circuit = builder(spec)
+    state, branch = circuit.run(), circuit.run(postselect=True)
+    # the run over every op, placeholders included, gate by gate through the same groups
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "_acts", lambda op: True)
+        every_state, every_branch = circuit.run(), circuit.run(postselect=True)
+    # a placeholder may leave a zero of the other sign, so the arrays are compared by value, not by bytes
+    assert np.array_equal(state.amplitudes, every_state.amplitudes)
+    assert np.array_equal(branch.amplitudes, every_branch.amplitudes)
+    if method == "sequential":
+        # the sequential runs also equal the full-register replay over every op, bit for bit in value
+        replay = new_basis_state(circuit.register, (0,) * len(circuit.register))
+        for op in circuit.ops:
+            replay = apply_gate(replay, op)
+        assert np.array_equal(state.amplitudes, replay.amplitudes)
+        _, block, _ = sim._outcome_block(replay, *circuit.accept_rule)
+        assert np.array_equal(branch.amplitudes, block.ravel(order="F"))
+
+
+@pytest.mark.parametrize("postselect", [False, True])
+def test_placeholders_never_reach_apply_gate_but_still_count(postselect, monkeypatch):
+    import quditdicke.sim as sim
+    from quditdicke.report import count_resources
+
+    circuits = [build_sequential_spin_s(DickeSpecSpinS(2, 2, 1)), build_sequential_sud(DickeSpecSUD(3, (1, 1, 1)))]
+    seen = []
+
+    def recording_apply_gate(state, op, **kwargs):
+        seen.append(op)
+        return apply_gate(state, op, **kwargs)
+
+    monkeypatch.setattr(sim, "apply_gate", recording_apply_gate)
+    for circuit, kinds in zip(circuits, (("Rot",), ("PhaseK", "Rot"))):
+        placeholders = [op for op in circuit.ops if _is_placeholder(op)]
+        assert {op.kind for op in placeholders} == set(kinds)
+        seen.clear()
+        circuit.run(postselect=postselect)
+        assert not any(_is_placeholder(op) for op in seen)
+        assert [id(op) for op in seen] == [id(op) for op in circuit.ops if not _is_placeholder(op)]
+        assert count_resources(circuit)[0] == len(circuit.ops) == len(seen) + len(placeholders)
+
+
+def test_postselected_run_fixes_an_accept_wire_before_a_trailing_placeholder(monkeypatch):
+    import quditdicke.sim as sim
+
+    # q0's last op is a placeholder, so q0 is fixed after the controlled Xd and the closing Hd acts on s1 alone
+    reg = QuditRegister([("s1", 2), ("q0", 2)])
+    ops = [hd("s1"), xd("q0", controls=(("s1", 1),)), phase_k("q0", num=0, den=1, controls=(("s1", 1),)), hd("s1")]
+    circuit = Circuit(reg, ops, accept_rule=(("q0",), (1,)))
+    groups = []
+
+    def recording_apply_gate(state, op, **kwargs):
+        groups.append(state.register.ids)
+        return apply_gate(state, op, **kwargs)
+
+    monkeypatch.setattr(sim, "apply_gate", recording_apply_gate)
+    branch = circuit.run(postselect=True)
+    assert groups == [("s1",), ("s1", "q0"), ("s1",)]
+    _, block, _ = sim._outcome_block(circuit.run(), ("q0",), (1,))
+    assert np.array_equal(branch.amplitudes, block.ravel(order="F"))
 
 
 def test_postselected_run_fixes_an_untouched_accept_wire_first():
