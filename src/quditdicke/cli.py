@@ -23,7 +23,6 @@ from .levelsets import build_level_sets
 from .qpe import BUILDERS, expected_repetitions
 from .reference import DickeSpecSpinS, DickeSpecSUD, spin_s_dicke, sud_dicke
 from .report import count_resources
-from .sequential import build_sequential_spin_s, build_sequential_sud
 from .serialize import circuit_to_json
 from .sim import accepted_branch
 from .suites import DEFAULT_MAX_AMPLITUDES, check_case, run_all
@@ -70,22 +69,28 @@ _SUD_BUILDERS = BUILDERS["sud"]
 
 
 def _build_circuit(spec, method: str, p: float | None, xi, cap: int | None = None):
-    """The spec's circuit.  Under a ``cap``, a register above that many amplitudes is a usage error:
-    the system register the spec implies is checked before any builder runs, the built one after."""
+    """The spec's circuit from the method registry, given the boost if one is set.  Under a ``cap``, a larger
+    register is a usage error: the spec's system register is checked before any builder runs, the built one after."""
     spin = isinstance(spec, DickeSpecSpinS)
     if cap is not None:
         _cap_check(itertools.repeat(spec.dim if spin else spec.d, spec.n), cap, f"the system register of {spec.n} sites")
-    if method == "sequential":
-        circuit = (build_sequential_spin_s if spin else build_sequential_sud)(spec)
-    else:
-        circuit = _SPIN_BUILDERS[method](spec, p=p) if spin else _SUD_BUILDERS[method](spec, xi=xi)
+    build, name, boost = (_SPIN_BUILDERS[method], "p", p) if spin else (_SUD_BUILDERS[method], "xi", xi)
+    circuit = build(spec) if boost is None else build(spec, **{name: boost})
     if cap is not None:
         _cap_check(circuit.register.dims, cap, f"register {list(circuit.register.dims)}")
     return circuit
 
 
+def _check_spec_flags(args) -> None:
+    """Reject a spec flag of the other family, which the spec would otherwise ignore."""
+    for flag, value, family in (("--s", args.s, "spin-s"), ("--k", args.k, "spin-s"), ("--kvec", args.kvec, "sud")):
+        if value is not None and args.family != family:
+            raise ValueError(f"{flag} applies only to the {family} family")
+
+
 def _spec_and_circuit(args):
-    """The spec and its circuit under ``--max-amplitudes``; a boost flag the family or method does not take is a usage error."""
+    """The spec and its circuit under ``--max-amplitudes``; a spec or boost flag the spec does not take is a usage error."""
+    _check_spec_flags(args)
     for flag, value, family in (("--p", args.p, "spin-s"), ("--xi", args.xi, "sud")):
         if value is not None and (args.method == "sequential" or args.family != family):
             raise ValueError(f"{flag} applies only to the probabilistic methods of the {family} family")
@@ -122,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prepare = sub.add_parser("prepare", help="build, simulate, and verify one target state")
     _add_spec_flags(prepare)
-    prepare.add_argument("--method", required=True, choices=("sequential", "qpe-log", "hadamard", "fanout"))
+    prepare.add_argument("--method", required=True, choices=tuple(BUILDERS["spin-s"]))
     prepare.add_argument("--p", type=float, help="override the boost parameter (spin-s)")
     prepare.add_argument("--xi", help="override the boost weights, comma-separated (sud)")
     prepare.add_argument("--seed", type=int)
@@ -136,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="CSV grid of acceptance probability and counts (spin-s)")
     _add_spec_flags(sweep)
-    sweep.add_argument("--method", required=True, choices=("sequential", "qpe-log", "hadamard", "fanout"))
+    sweep.add_argument("--method", required=True, choices=tuple(BUILDERS["spin-s"]))
     sweep.add_argument("--param", required=True, choices=("p", "n"))
     sweep.add_argument("--points", type=int, default=101, help="grid points for --param p")
     sweep.add_argument("--n-max", type=int, help="upper end for --param n (lower end is --n)")
@@ -149,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     export = sub.add_parser("export-circuit", help="write a circuit in the exchange format")
     _add_spec_flags(export)
-    export.add_argument("--method", required=True, choices=("sequential", "qpe-log", "hadamard", "fanout"))
+    export.add_argument("--method", required=True, choices=tuple(BUILDERS["spin-s"]))
     export.add_argument("--p", type=float)
     export.add_argument("--xi")
     export.add_argument("--out")
@@ -205,6 +210,7 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.family != "spin-s":
         raise ValueError("sweep supports the spin-s family (the sud occupation vector pins n)")
+    _check_spec_flags(args)
     if args.param == "p":
         if args.method == "sequential":
             raise ValueError("--param p applies to the probabilistic methods")
@@ -231,7 +237,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_levelsets(args) -> int:
-    index = build_level_sets(_parse_vector(args.kvec, int, "occupation vector"))
+    kvec = _parse_vector(args.kvec, int, "occupation vector")
+    # the index lists all prod(k_i + 1) partial occupations, at most d^n: capped like the spec's system register
+    _cap_check((k + 1 for k in kvec), DEFAULT_MAX_AMPLITUDES, f"the level-set index of {kvec}")
+    index = build_level_sets(kvec)
     _emit(json.dumps(index.to_dict(), indent=2), args.out)
     return 0
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .reference import DickeSpecSpinS, DickeSpecSUD, binomial
 from .report import RunReport, verify_circuit
-from .sequential import rotation_cascade_angles
+from .sequential import build_sequential_spin_s, build_sequential_sud, rotation_cascade_angles
 from .sim import (
     ATOL_PROBABILITY,
     Circuit,
@@ -30,7 +30,6 @@ from .sim import (
     StateVector,
     _count_outcome,
     _fourier,
-    acceptance_probability,
     dense_unitary,
     hd,
     hd_dag,
@@ -41,11 +40,6 @@ from .sim import (
     sum_,
     sum_dag,
 )
-
-
-def ancilla_bits_spin_s(spec: DickeSpecSpinS) -> int:
-    """Qubits needed to hold any charge value: ceil(log2(2sn+1))."""
-    return spec.max_charge.bit_length()
 
 
 def _site_amplitudes_spin_s(twice_s: int, p: float) -> np.ndarray:
@@ -152,33 +146,29 @@ def _boost_sweep(circuit: Circuit, site_amps) -> np.ndarray:
     """Acceptance probability of a built probabilistic circuit at each boost in ``site_amps``, from one run.
 
     Every circuit ``_circuit`` builds starts with the n(d-1) cascade Rots
-    of its boost, and no later op depends on the boost.  With L > 1 boosts
-    the sweep circuit is the built register plus a ``grid`` wire of
-    dimension L: ``hd("grid")`` spreads it evenly over its L levels, the
-    cascade of boost b acts under the control ("grid", b), and the built
-    circuit's remaining ops follow unchanged.  Level b of the grid then
-    carries the state prepared at boost b with weight 1/L, so the marginal
-    over the accept wires and the grid at the accept digits, times L, is
-    every acceptance probability at once; each is within a few ulps of the
-    same point simulated alone.  With L = 1 there is no grid wire and no
-    control: the ops are those the builder emits at that boost.  The run
-    holds L times the built register, so a caller under an amplitude cap
-    splits its boosts into sweeps of at most cap // register size.
-    ``quditdicke sweep --param p`` keeps one circuit per point: its CSV
-    prints each probability with ``repr``, whose last bits a sweep moves.
+    of its boost, and no later op depends on the boost.  With one boost the
+    sweep circuit is the built register with that boost's cascade.  With
+    L > 1 boosts it adds a ``grid`` wire of dimension L: ``hd("grid")``
+    spreads it evenly over its L levels, the cascade of boost b acts under
+    the control ("grid", b), and the built circuit's remaining ops follow
+    unchanged, so level b of the grid carries the state prepared at boost b
+    with weight 1/L.  One ``run(postselect=True)`` gives the accepted
+    branch, and its marginal over the grid wires times L (with no grid
+    wire, its squared norm) is every acceptance probability at once, each
+    within a few ulps of the same point simulated alone.  The run holds L
+    times the built register, so a caller under an amplitude cap splits its
+    boosts into sweeps of at most cap // register size.  ``quditdicke sweep
+    --param p`` keeps one circuit per point: its CSV prints each
+    probability with ``repr``, whose last bits a sweep moves.
     """
     reg, n = circuit.register, circuit.meta["n"]
     system, levels = reg.ids[:n], len(site_amps)
-    wires, digits = circuit.accept_rule
-    rest = list(circuit.ops[n * (reg.dims[0] - 1) :])
-    if levels == 1:
-        state = Circuit(reg, _prep_ops(site_amps[0], system) + rest).run()
-        return np.array([acceptance_probability(state, circuit.accept_rule)])
-    register = QuditRegister(list(zip(reg.ids, reg.dims)) + [("grid", levels)])
-    prep = [op for b, amps in enumerate(site_amps) for op in _prep_ops(amps, system, controls=(("grid", b),))]
-    state = Circuit(register, [hd("grid")] + prep + rest).run()
-    marginal = outcome_distribution(state, wires + ("grid",)).reshape(levels, -1)  # the grid is most significant
-    return marginal[:, outcome_index(reg, wires, digits)] * levels
+    grid = ("grid",) if levels > 1 else ()
+    register = QuditRegister(list(zip(reg.ids, reg.dims)) + [(w, levels) for w in grid])
+    prep = [op for b, amps in enumerate(site_amps) for op in _prep_ops(amps, system, tuple((w, b) for w in grid))]
+    ops = [hd(w) for w in grid] + prep + list(circuit.ops[n * (reg.dims[0] - 1) :])
+    branch = Circuit(register, ops, circuit.accept_rule).run(postselect=True)
+    return outcome_distribution(branch, grid) * levels
 
 
 def _build_qpe_log(readout: ChargeReadout) -> Circuit:
@@ -272,10 +262,13 @@ def build_fanout_const_sud(spec: DickeSpecSUD, xi=None) -> Circuit:
     return _build_fanout(_sud_readout(spec, xi))
 
 
-# the one method registry of the probabilistic schemes, by family
+# the one method registry, by family: the deterministic scheme first, then the probabilistic ones,
+# which also take a boost (p or xi) as their second argument
 BUILDERS = {
-    "spin-s": {"qpe-log": build_qpe_log_spin_s, "hadamard": build_hadamard_test_spin_s, "fanout": build_fanout_const_spin_s},
-    "sud": {"qpe-log": build_qpe_log_sud, "hadamard": build_hadamard_test_sud, "fanout": build_fanout_const_sud},
+    "spin-s": {"sequential": build_sequential_spin_s, "qpe-log": build_qpe_log_spin_s,
+               "hadamard": build_hadamard_test_spin_s, "fanout": build_fanout_const_spin_s},
+    "sud": {"sequential": build_sequential_sud, "qpe-log": build_qpe_log_sud,
+            "hadamard": build_hadamard_test_sud, "fanout": build_fanout_const_sud},
 }
 
 

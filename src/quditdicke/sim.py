@@ -48,8 +48,10 @@ op acts on a group smaller by that wire's dimension.  The branch is the
 unnormalized state over the other wires, equal to the full state's
 accepted block within rounding: the ops after a fix multiply smaller blocks, and BLAS
 may round a column differently when the column count changes.
+Every acceptance probability that draws no shots is read from the branch:
 ``accepted_branch`` gives the branch and its squared norm P, the readout
-of ``report.verify_circuit`` and of ``quditdicke sweep``.
+of ``report.verify_circuit`` and of ``quditdicke sweep``, and
+``qpe._boost_sweep`` reads a boost grid's marginal off its branch.
 
 The readout reads the state once and allocates nothing register-sized
 except the collapsed state it returns.  ``outcome_distribution`` is one
@@ -675,13 +677,6 @@ def outcome_index(register: QuditRegister, wires: Sequence, digits: Sequence[int
     if len(wires) != len(digits):
         raise ValueError("digit count does not match the wires")
     return _flat_index(digits, [register.dim(w) for w in wires])
-
-
-def acceptance_probability(state: StateVector, accept_rule: tuple) -> float:
-    """Exact probability that the accept wires read the accept digits of a full ``state``: the accepted
-    block's squared norm, as ``project_on_outcome`` reads it.  A run that draws no shots reads P from
-    ``accepted_branch`` instead, equal within rounding."""
-    return _outcome_block(state, *accept_rule)[2]
 
 
 def _cdf(state: StateVector, wires: Sequence) -> np.ndarray:

@@ -7,8 +7,9 @@ both drive these functions, so the command line and the test suite can
 never disagree about what passing means.
 
 Every case goes through one path.  ``_case(spec, methods)`` is the only
-map from a family to its detail-line name, builder, oracle and closed-form
-acceptance probability, evaluated once per spec for all of its methods.  A
+map from a family to its detail-line name, oracle and closed-form
+acceptance probability, evaluated once per spec for all of its methods,
+and it builds every method through the one registry ``qpe.BUILDERS``.  A
 criterion that simulates skips each case whose register exceeds the cap,
 and ``check_case`` is the only code that decides whether a simulated case
 passes; ``quditdicke prepare`` calls it too.
@@ -18,16 +19,17 @@ counts the circuits that criteria 1 and 2 built moments earlier: ``_case``
 records the op count of each sequential circuit it builds, for that call
 only, and criterion 8 builds a circuit itself only when it runs alone.
 
-Criterion 4 places the argmax of the hadamard acceptance probability on a
-101-point boost grid.  It keeps the circuit ``_cases`` builds for each
-spec (and cap-checks) and simulates the whole grid with
-``qpe._boost_sweep``: one run in which a ``grid`` wire of dimension L
-selects the boost, so a spec costs one build and one run, not 101 of
-each.  That run holds L times the built register, so under the amplitude
-cap the grid is split into sweeps of at most cap // register size boosts;
-at one boost a sweep is the built circuit at that boost.  ``quditdicke
-sweep --param p`` stays per point: its CSV prints each probability with
-``repr``, and a sweep would move their last bits.
+Criterion 4 draws ten random specs, then places the argmax of each
+one's hadamard acceptance probability on a 101-point boost grid.  It
+keeps the circuit ``_cases`` builds for each spec (and cap-checks) and
+simulates the whole grid with ``qpe._boost_sweep``: one postselected run
+in which a ``grid`` wire of dimension L selects the boost, its accepted
+branch read like every other P that draws no shots, so a spec costs one
+build and one run, not 101 of each.  That run holds L times the built
+register, so under the amplitude cap the grid is split into sweeps of at
+most cap // register size boosts.  ``quditdicke sweep --param p`` stays
+per point: its CSV prints each probability with ``repr``, and a sweep
+would move their last bits.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ from .qpe import (
     _boost_sweep,
     _site_amplitudes_spin_s,
     _site_amplitudes_sud,
-    build_fanout_const_spin_s,
-    build_fanout_const_sud,
     run_postselected,
 )
 from .reference import (
@@ -66,7 +66,7 @@ from .reference import (
     sud_dicke,
 )
 from .report import count_resources
-from .sequential import build_sequential_spin_s, build_sequential_sud, spin_s_l_range, verify_sequential
+from .sequential import spin_s_l_range, verify_sequential
 from .sim import (
     ANCILLA_ACCEPT,
     ATOL_IDENTITY,
@@ -76,8 +76,8 @@ from .sim import (
 )
 
 DEFAULT_MAX_AMPLITUDES = 10**6
-_PROBABILISTIC = tuple(BUILDERS["spin-s"])  # method names, as in qpe.BUILDERS
-# len(circuit.ops) by (builder, spec) of each sequential circuit ``_case`` built in the running ``run_all``,
+_PROBABILISTIC = tuple(method for method in BUILDERS["spin-s"] if method != "sequential")
+# len(circuit.ops) by (family, spec) of each sequential circuit ``_case`` built in the running ``run_all``,
 # None outside it; ints only, so no circuit outlives its case
 _OP_COUNTS: ContextVar[dict | None] = ContextVar("_OP_COUNTS", default=None)
 
@@ -158,16 +158,15 @@ def _case(spec, methods):
     oracle = _oracle(spec)
     closed_form = None
     for method in methods:
+        circuit = BUILDERS[family][method](spec)
         if method == "sequential":
-            builder = build_sequential_spin_s if spin else build_sequential_sud
-            circuit = builder(spec)
             counts = _OP_COUNTS.get()
             if counts is not None:
-                counts[builder, spec] = len(circuit.ops)
+                counts[family, spec] = len(circuit.ops)
             yield f"{family} {label}", circuit, oracle, 1.0
         else:
             closed_form = closed_form or (probability_spin_s(spec.n, spec.twice_s, spec.k) if spin else probability_sud(spec.n, spec.kvec))
-            yield f"{family} {method} {label}", BUILDERS[family][method](spec), oracle, closed_form.probability
+            yield f"{family} {method} {label}", circuit, oracle, closed_form.probability
 
 
 def _cases(pairs, max_amplitudes: int, skips: list[str]):
@@ -242,18 +241,13 @@ def criterion_parameter_optimality(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES,
     failures, skips = [], []
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, 1.0, 101)
+    draws = []  # (spec, boosts, optimal grid value, failure line up to the argmax)
     for _ in range(5):
         twice_s = int(rng.integers(1, 4))
         n = int(rng.integers(2, 4))
         k = int(rng.integers(1, twice_s * n))
-        values = _boost_grid(DickeSpecSpinS(n, twice_s, k), [float(p) for p in grid], max_amplitudes, skips)
-        if values is None:
-            continue  # above the cap: skipped
-        best = k / (twice_s * n)
-        argmax = int(np.argmax(values))
-        nearest = int(np.argmin(np.abs(grid - best)))
-        if argmax != nearest:
-            failures.append(f"spin-s n={n} 2s={twice_s} k={k}: argmax p={grid[argmax]}, optimal {best}")
+        line = f"spin-s n={n} 2s={twice_s} k={k}: argmax p="
+        draws.append((DickeSpecSpinS(n, twice_s, k), [float(p) for p in grid], k / (twice_s * n), line))
     for _ in range(5):
         n = int(rng.integers(2, 4))
         while True:
@@ -263,14 +257,14 @@ def criterion_parameter_optimality(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES,
         axis = int(rng.integers(0, 3))
         optimal = [math.sqrt(v / n) for v in kvec]
         boosts = [optimal[:axis] + [float(x)] + optimal[axis + 1 :] for x in grid]
-        values = _boost_grid(DickeSpecSUD(n, kvec), boosts, max_amplitudes, skips)
+        draws.append((DickeSpecSUD(n, kvec), boosts, optimal[axis], f"sud n={n} kvec={kvec} axis={axis}: argmax xi="))
+    for spec, boosts, best, line in draws:
+        values = _boost_grid(spec, boosts, max_amplitudes, skips)
         if values is None:
             continue  # above the cap: skipped
-        best = math.sqrt(kvec[axis] / n)
         argmax = int(np.argmax(values))
-        nearest = int(np.argmin(np.abs(grid - best)))
-        if argmax != nearest:
-            failures.append(f"sud n={n} kvec={kvec} axis={axis}: argmax xi={grid[argmax]}, optimal {best}")
+        if argmax != int(np.argmin(np.abs(grid - best))):
+            failures.append(f"{line}{grid[argmax]}, optimal {best}")
     return _result("criterion-4", description, failures, skips)
 
 
@@ -349,11 +343,11 @@ def sud_expected_gate_count(spec: DickeSpecSUD) -> int:
     return 3 * spec.d * sum(levels.cardinality(i - 1) for i in range(1, spec.n + 1))
 
 
-def _op_count(builder, spec) -> int:
-    """``len(builder(spec).ops)``, as ``_case`` recorded it in the running ``run_all``, else from a fresh build."""
+def _op_count(family: str, spec) -> int:
+    """Op count of the family's sequential circuit of ``spec``, as ``_case`` recorded it in ``run_all``, else built anew."""
     counts = _OP_COUNTS.get()
-    count = None if counts is None else counts.get((builder, spec))
-    return len(builder(spec).ops) if count is None else count
+    count = None if counts is None else counts.get((family, spec))
+    return len(BUILDERS[family]["sequential"](spec).ops) if count is None else count
 
 
 def criterion_resource_scaling(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> CriterionResult:
@@ -362,13 +356,13 @@ def criterion_resource_scaling(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> 
     for spec in spin_s_grid(3, 5):
         if not 0 < spec.k < spec.max_charge:
             continue
-        count, expected = _op_count(build_sequential_spin_s, spec), spin_s_expected_gate_count(spec)
+        count, expected = _op_count("spin-s", spec), spin_s_expected_gate_count(spec)
         if count != expected:
             failures.append(f"spin-s count n={spec.n} 2s={spec.twice_s} k={spec.k}: {count} vs {expected}")
     for spec in sud_grid(4, 5):
         if sum(1 for v in spec.kvec if v > 0) < 2:
             continue
-        count, expected = _op_count(build_sequential_sud, spec), sud_expected_gate_count(spec)
+        count, expected = _op_count("sud", spec), sud_expected_gate_count(spec)
         if count != expected:
             failures.append(f"sud count n={spec.n} kvec={spec.kvec}: {count} vs {expected}")
     # growth along s=1/2, k=floor(n/2): gate count stays within a constant multiple of s*k*n
@@ -383,7 +377,7 @@ def criterion_resource_scaling(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> 
         depths = set()
         for n in range(2, 7):
             spec = DickeSpecSpinS(n, twice_s, max(1, (twice_s * n) // 2))
-            _, depth, _ = count_resources(build_fanout_const_spin_s(spec))
+            _, depth, _ = count_resources(BUILDERS["spin-s"]["fanout"](spec))
             depths.add(depth)
         if len(depths) != 1:
             failures.append(f"spin-s fanout depth varies with n for 2s={twice_s}: {sorted(depths)}")
@@ -394,7 +388,7 @@ def criterion_resource_scaling(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> 
             for idx in range(n):
                 kvec[idx % d] += 1
             spec = DickeSpecSUD(n, tuple(kvec))
-            _, depth, _ = count_resources(build_fanout_const_sud(spec))
+            _, depth, _ = count_resources(BUILDERS["sud"]["fanout"](spec))
             depths.add(depth)
         if len(depths) != 1:
             failures.append(f"sud fanout depth varies with n for d={d}: {sorted(depths)}")

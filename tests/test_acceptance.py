@@ -9,6 +9,7 @@ detail lines at the default cap: an unindented line names a criterion and
 each indented line below it is one detail line.
 """
 
+import hashlib
 import math
 from collections import Counter
 from pathlib import Path
@@ -28,12 +29,10 @@ from quditdicke.reference import (
     sud_dicke,
 )
 from quditdicke.report import embedded_reference, verify_circuit
-from quditdicke.sequential import build_sequential_spin_s, build_sequential_sud
 from quditdicke.sim import (
     ATOL_PROBABILITY,
     FIDELITY_ACCEPT,
     Circuit,
-    acceptance_probability,
     fidelity,
     project_on_outcome,
     xd,
@@ -80,7 +79,7 @@ def test_sequential_amplitudes_match_the_oracle():
     worst, count = 0.0, 0
     for spec in [*spin_s_grid(3, 5), *sud_grid(4, 5)]:
         spin = isinstance(spec, DickeSpecSpinS)
-        circuit = (build_sequential_spin_s if spin else build_sequential_sud)(spec)
+        circuit = BUILDERS["spin-s" if spin else "sud"]["sequential"](spec)
         wires, digits = circuit.accept_rule
         _, conditional = project_on_outcome(circuit.run(), wires, digits)
         oracle = embedded_reference(circuit, spin_s_dicke(spec) if spin else sud_dicke(spec), dict(zip(wires, digits)))
@@ -135,14 +134,14 @@ def spec_method_cases(draw):
         twice_s = draw(st.integers(1, 3))
         spec = DickeSpecSpinS(n, twice_s, draw(st.integers(0, twice_s * n)))
         closed_form = probability_spin_s(n, twice_s, spec.k).probability
-        circuit = build_sequential_spin_s(spec) if method == "sequential" else BUILDERS["spin-s"][method](spec)
+        circuit = BUILDERS["spin-s"][method](spec)
         oracle = spin_s_dicke(spec)
     else:
         cuts = sorted(draw(st.lists(st.integers(0, n), min_size=1, max_size=2)))
         kvec = tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))
         spec = DickeSpecSUD(n, kvec)
         closed_form = probability_sud(n, kvec).probability
-        circuit = build_sequential_sud(spec) if method == "sequential" else BUILDERS["sud"][method](spec)
+        circuit = BUILDERS["sud"][method](spec)
         oracle = sud_dicke(spec)
     assume(circuit.register.size <= 2**14)
     # a sequential circuit returns its ancillas with certainty
@@ -183,11 +182,7 @@ SMALL_SPECS = (DickeSpecSpinS(2, 2, 1), DickeSpecSUD(3, (2, 1)))
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=("spin-s", "sud"))
 def test_block_readout_matches_the_projected_state(spec, method):
     spin = isinstance(spec, DickeSpecSpinS)
-    family = "spin-s" if spin else "sud"
-    if method == "sequential":
-        circuit = (build_sequential_spin_s if spin else build_sequential_sud)(spec)
-    else:
-        circuit = BUILDERS[family][method](spec)
+    circuit = BUILDERS["spin-s" if spin else "sud"][method](spec)
     assert_same_readout(circuit, spin_s_dicke(spec) if spin else sud_dicke(spec))
 
 
@@ -249,10 +244,31 @@ def test_boost_sweep_matches_per_point_simulation(spec, boosts, cap):
             exact.append(0.0)
             continue
         circuit = build_hadamard_test_spin_s(spec, p=boost) if spin else build_hadamard_test_sud(spec, xi=boost)
-        exact.append(acceptance_probability(circuit.run(), circuit.accept_rule))
+        exact.append(project_on_outcome(circuit.run(), *circuit.accept_rule)[0])
     assert len(values) == len(boosts)
     assert np.max(np.abs(values - np.array(exact))) <= 1e-12
     assert np.argmax(values) == np.argmax(exact)
+
+
+# sha256 of the float64 bytes of criterion 4's ten 101-point grids at the default cap, in draw order,
+# recorded when each sweep still read a marginal of the full state over the accept wires and the grid
+CRITERION_4_DIGEST = "fd0e999e7e5a0d0830a54d23e4cb6d1eead642bfd450c2cfcea75cc0672b0c7c"
+
+
+def test_criterion_4_sweep_values_are_pinned(monkeypatch):
+    from quditdicke import suites
+
+    values, boost_grid = [], suites._boost_grid
+
+    def recording(*args):
+        values.append(boost_grid(*args))
+        return values[-1]
+
+    monkeypatch.setattr(suites, "_boost_grid", recording)
+    assert criterion_parameter_optimality().passed
+    swept = np.concatenate(values)
+    assert swept.shape == (1010,)
+    assert hashlib.sha256(swept.tobytes()).hexdigest() == CRITERION_4_DIGEST
 
 
 def test_criterion_4_fails_on_a_shifted_boost(monkeypatch):
@@ -284,9 +300,9 @@ def test_criterion_4_runs_no_register_above_the_cap(monkeypatch, cap):
     sizes = []
     run = Circuit.run
 
-    def recording(circuit, *args):
+    def recording(circuit, *args, **kwargs):
         sizes.append(circuit.register.size)
-        return run(circuit, *args)
+        return run(circuit, *args, **kwargs)
 
     monkeypatch.setattr(Circuit, "run", recording)
     result = criterion_parameter_optimality(cap)
@@ -320,9 +336,7 @@ def test_criteria_fail_on_a_wrong_oracle(monkeypatch, ident, spin_s_cases):
 
 
 def count_sequential_builds(monkeypatch):
-    """Wrap both sequential builders of ``suites`` so that each build counts its spec."""
-    from quditdicke import suites
-
+    """Wrap both sequential entries of the method registry so that each build counts its spec."""
     built = Counter()
 
     def counting(build):
@@ -332,8 +346,8 @@ def count_sequential_builds(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(suites, "build_sequential_spin_s", counting(suites.build_sequential_spin_s))
-    monkeypatch.setattr(suites, "build_sequential_sud", counting(suites.build_sequential_sud))
+    for builders in BUILDERS.values():
+        monkeypatch.setitem(builders, "sequential", counting(builders["sequential"]))
     return built
 
 
@@ -361,7 +375,7 @@ def test_run_all_builds_each_sequential_circuit_once(monkeypatch):
 def test_resource_count_catches_a_dropped_op_under_run_all_and_alone(monkeypatch):
     from quditdicke import suites
 
-    exact = suites.build_sequential_spin_s
+    exact = BUILDERS["spin-s"]["sequential"]
     target = DickeSpecSpinS(3, 2, 2)
 
     def drops_last_op(spec):
@@ -370,7 +384,7 @@ def test_resource_count_catches_a_dropped_op_under_run_all_and_alone(monkeypatch
             return circuit
         return Circuit(circuit.register, circuit.ops[:-1], circuit.accept_rule, circuit.meta)
 
-    monkeypatch.setattr(suites, "build_sequential_spin_s", drops_last_op)
+    monkeypatch.setitem(BUILDERS["spin-s"], "sequential", drops_last_op)
     expected = suites.spin_s_expected_gate_count(target)
     line = f"spin-s count n=3 2s=2 k=2: {expected - 1} vs {expected}"
     alone = criterion_resource_scaling()

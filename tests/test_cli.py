@@ -216,13 +216,48 @@ def test_oversized_spec_is_rejected_before_building(argv, register, capsys, monk
     # the spec's own system register is capped before any builder runs
     from quditdicke import cli
 
-    for method in ("qpe-log", "hadamard", "fanout"):
-        monkeypatch.setitem(cli._SPIN_BUILDERS, method, lambda spec, p: pytest.fail("built a circuit"))
-        monkeypatch.setitem(cli._SUD_BUILDERS, method, lambda spec, xi: pytest.fail("built a circuit"))
-    monkeypatch.setattr(cli, "build_sequential_spin_s", lambda spec: pytest.fail("built a circuit"))
+    for builders in (cli._SPIN_BUILDERS, cli._SUD_BUILDERS):
+        for method in builders:
+            monkeypatch.setitem(builders, method, lambda spec, **boost: pytest.fail("built a circuit"))
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: the system register of {register} exceeds the cap of 1000000 amplitudes\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kvec", ["100,100,100", "1000,1000,1000", "100,100,99"])
+def test_oversized_level_set_index_is_rejected_before_building(kvec, capsys, monkeypatch):
+    # prod(k_i + 1) partial occupations are never enumerated past the default cap: 101 * 101 * 100 > 10^6
+    from quditdicke import cli
+
+    monkeypatch.setattr(cli, "build_level_sets", lambda kvec: pytest.fail("built the level sets"))
+    assert run_cli(["levelsets", "--kvec", kvec]) == 2
+    captured = capsys.readouterr()
+    shown = tuple(int(v) for v in kvec.split(","))
+    assert captured.err == f"error: the level-set index of {shown} exceeds the cap of 1000000 amplitudes\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, flag, family",
+    [
+        (["prepare", *SUD_SPEC, "--s", "1", "--method", "sequential"], "--s", "spin-s"),
+        (["prepare", *SUD_SPEC, "--k", "0", "--method", "hadamard"], "--k", "spin-s"),
+        (["prepare", *SPIN_S_SPEC, "--kvec", "1,1", "--method", "qpe-log"], "--kvec", "sud"),
+        (["export-circuit", *SUD_SPEC, "--s", "1", "--k", "5", "--method", "sequential"], "--s", "spin-s"),
+        (["export-circuit", *SPIN_S_SPEC, "--kvec", "1,1", "--method", "fanout"], "--kvec", "sud"),
+        (["sweep", *SPIN_S_SPEC, "--kvec", "1,1", "--method", "hadamard", "--param", "p"], "--kvec", "sud"),
+        (["sweep", *SPIN_S_SPEC, "--kvec", "1,1", "--method", "sequential", "--param", "n", "--n-max", "3"], "--kvec", "sud"),
+    ],
+    ids=["prepare-s", "prepare-k", "prepare-kvec", "export-s-k", "export-kvec", "sweep-p-kvec", "sweep-n-kvec"],
+)
+def test_spec_flag_of_the_other_family_is_rejected_before_building(argv, flag, family, capsys, monkeypatch):
+    from quditdicke import cli
+
+    monkeypatch.setattr(cli, "_build_circuit", lambda *args: pytest.fail("built a circuit"))
+    assert run_cli([*argv, "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} applies only to the {family} family\n"
     assert captured.out == ""
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from quditdicke.qpe import (
     BUILDERS,
-    ancilla_bits_spin_s,
     build_fanout_const_spin_s,
     build_fanout_const_sud,
     build_hadamard_test_spin_s,
@@ -101,12 +100,6 @@ def test_product_state_sud_dicke_weights():
         assert overlap == pytest.approx(expected, abs=1e-10)
 
 
-def test_ancilla_bit_counts():
-    assert ancilla_bits_spin_s(DickeSpecSpinS(3, 2, 1)) == 3  # 2sn+1 = 7
-    assert ancilla_bits_spin_s(DickeSpecSpinS(1, 1, 0)) == 1
-    assert ancilla_bits_spin_s(DickeSpecSpinS(4, 3, 5)) == 4  # 2sn+1 = 13
-
-
 def test_qpe_log_spin_s_acceptance():
     spec = DickeSpecSpinS(3, 1, 2)
     report = run_postselected(build_qpe_log_spin_s(spec), spin_s_dicke(spec))
@@ -136,7 +129,7 @@ def test_premeasurement_projection_matches_oracle():
     n, twice_s, k = 2, 1, 1
     spec = DickeSpecSpinS(n, twice_s, k)
     circuit = build_qpe_log_spin_s(spec)
-    ell = ancilla_bits_spin_s(spec)
+    ell = spec.max_charge.bit_length()
     reg = circuit.register
     amps = np.zeros(reg.size, dtype=np.complex128)
     sys_size = (twice_s + 1) ** n

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from quditdicke.qpe import BUILDERS
 from quditdicke.reference import DickeSpecSpinS
 from quditdicke.report import logical_depth
-from quditdicke.sequential import build_sequential_spin_s, build_sequential_sud
 from quditdicke.sim import Circuit, QuditRegister, sum_, xd
 from quditdicke.suites import spin_s_grid, sud_grid
 
@@ -66,8 +65,7 @@ def test_logical_depth_of_every_builder_on_the_criterion_3_grid_is_unchanged():
     depths = []
     for spec in [*spin_s_grid(3, 4), *sud_grid(3, 4)]:
         family = "spin-s" if isinstance(spec, DickeSpecSpinS) else "sud"
-        sequential = build_sequential_spin_s if family == "spin-s" else build_sequential_sud
-        for build in (sequential, *BUILDERS[family].values()):
+        for build in BUILDERS[family].values():
             circuit = build(spec)
             depth = logical_depth(circuit)
             assert depth == reference_depth(circuit), (build.__name__, spec)

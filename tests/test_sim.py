@@ -24,7 +24,6 @@ from quditdicke.sim import (
     ImpossibleOutcomeError,
     QuditRegister,
     StateVector,
-    acceptance_probability,
     apply_gate,
     dense_unitary,
     fidelity,
@@ -409,7 +408,6 @@ def test_circuit_ops_cannot_change_after_the_checks():
     assert circuit.ops == (first,)
 
 
-_SEQUENTIAL = {"spin-s": build_sequential_spin_s, "sud": build_sequential_sud}
 _SMALL_SPECS = {"spin-s": DickeSpecSpinS(2, 2, 2), "sud": DickeSpecSUD(2, (1, 1, 0))}
 
 
@@ -421,7 +419,7 @@ def _is_placeholder(op):
 @pytest.mark.parametrize("family", ["spin-s", "sud"])
 @pytest.mark.parametrize("method", ["sequential", "qpe-log", "hadamard", "fanout"])
 def test_circuit_run_matches_dense_path(family, method):
-    builder = _SEQUENTIAL[family] if method == "sequential" else BUILDERS[family][method]
+    builder = BUILDERS[family][method]
     circuit = builder(_SMALL_SPECS[family])
     fast = dense = new_basis_state(circuit.register, (0,) * len(circuit.register))
     for op in circuit.ops:
@@ -435,7 +433,7 @@ def test_circuit_run_matches_dense_path(family, method):
 def test_circuit_run_keeps_every_group_in_register_order(family, method, monkeypatch):
     import quditdicke.sim as sim
 
-    builder = _SEQUENTIAL[family] if method == "sequential" else BUILDERS[family][method]
+    builder = BUILDERS[family][method]
     circuit = builder(_SMALL_SPECS[family])
     position = {wire: p for p, wire in enumerate(circuit.register.ids)}
     seen = []
@@ -494,7 +492,7 @@ _BRANCH_CASES = [
 def test_postselected_run_is_the_accepted_block(family, method, spec, monkeypatch):
     import quditdicke.sim as sim
 
-    builder = _SEQUENTIAL[family] if method == "sequential" else BUILDERS[family][method]
+    builder = BUILDERS[family][method]
     circuit = builder(spec)
     wires, digits = circuit.accept_rule
     select, block, probability = sim._outcome_block(circuit.run(), wires, digits)
@@ -559,7 +557,7 @@ def test_postselected_run_never_holds_the_register():
 def test_run_without_placeholders_equals_the_run_over_all_ops(family, method, spec, monkeypatch):
     import quditdicke.sim as sim
 
-    builder = _SEQUENTIAL[family] if method == "sequential" else BUILDERS[family][method]
+    builder = BUILDERS[family][method]
     circuit = builder(spec)
     state, branch = circuit.run(), circuit.run(postselect=True)
     # the run over every op, placeholders included, gate by gate through the same groups
@@ -878,7 +876,6 @@ def test_empty_wire_list_is_the_certain_outcome():
     assert probability == pytest.approx(110.0)
     assert np.allclose(conditional.amplitudes, state.amplitudes / math.sqrt(110.0))
     assert outcome_distribution(state, ()) == pytest.approx([110.0])
-    assert acceptance_probability(state, ((), ())) == pytest.approx(110.0)
     digits, collapsed = sample_measure(state, (), seed=1)
     assert digits == ()
     assert np.array_equal(collapsed.amplitudes, conditional.amplitudes)
@@ -1090,7 +1087,7 @@ def test_unpickled_gate_op_passes_its_checks_again():
 @pytest.mark.parametrize("family", ["spin-s", "sud"])
 @pytest.mark.parametrize("method", ["sequential", "qpe-log", "hadamard", "fanout"])
 def test_built_circuit_pickles(family, method):
-    builder = _SEQUENTIAL[family] if method == "sequential" else BUILDERS[family][method]
+    builder = BUILDERS[family][method]
     circuit = builder(_SMALL_SPECS[family])
     copy = pickle.loads(pickle.dumps(circuit))
     assert copy.register.ids == circuit.register.ids and copy.register.dims == circuit.register.dims
