@@ -27,6 +27,10 @@ from .serialize import circuit_to_json
 from .sim import accepted_branch
 from .suites import DEFAULT_MAX_AMPLITUDES, check_case, run_all
 
+# the level-set index keeps a tuple and a dict entry per partial occupation, about 550 B each,
+# so its cap is set by memory rather than borrowed from the 16 B amplitudes
+MAX_LEVEL_SET_LABELS = 100_000
+
 
 def _parse_spin(text: str) -> int:
     """Spin value like '0.5', '1', or '3/2', returned as twice the spin."""
@@ -103,14 +107,14 @@ def _oracle(spec):
     return spin_s_dicke(spec) if isinstance(spec, DickeSpecSpinS) else sud_dicke(spec)
 
 
-def _cap_check(dims, cap: int, register: str) -> None:
+def _cap_check(dims, cap: int, register: str, unit: str = "amplitudes") -> None:
     """Reject a register whose wire dimensions multiply past ``cap``.  The product stops there, so an
     oversized spec's dimensions are never multiplied out."""
     size = 1
     for dim in dims:
         size *= dim
         if size > cap:
-            raise ValueError(f"{register} exceeds the cap of {cap} amplitudes")
+            raise ValueError(f"{register} exceeds the cap of {cap} {unit}")
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
@@ -238,8 +242,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_levelsets(args) -> int:
     kvec = _parse_vector(args.kvec, int, "occupation vector")
-    # the index lists all prod(k_i + 1) partial occupations, at most d^n: capped like the spec's system register
-    _cap_check((k + 1 for k in kvec), DEFAULT_MAX_AMPLITUDES, f"the level-set index of {kvec}")
+    # the index lists all prod(k_i + 1) partial occupations
+    _cap_check((k + 1 for k in kvec), MAX_LEVEL_SET_LABELS, f"the level-set index of {kvec}", "partial occupations")
     index = build_level_sets(kvec)
     _emit(json.dumps(index.to_dict(), indent=2), args.out)
     return 0

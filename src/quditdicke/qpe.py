@@ -8,7 +8,12 @@ with targets k_i.  Both are a ``ChargeReadout``, and each scheme is
 written once against it: a bank of qubits with an inverse Fourier block
 per charge (log depth), one higher-dimensional Hadamard test per charge,
 and a fan-out interference filter whose depth does not grow with the
-register.
+register.  Each scheme reads a charge register out (its inverse Fourier
+block, closing ``HdDag`` or closing ``Hd``) right after that register's
+last phase, before the next register joins, so ``Circuit.run(postselect=True)``
+fixes it to its accept digits there and holds one charge register at a
+time.  Moving a closing op past ops on disjoint wires leaves the unitary,
+the gate count, the ancilla census and the logical depth unchanged.
 """
 
 from __future__ import annotations
@@ -174,7 +179,9 @@ def _boost_sweep(circuit: Circuit, site_amps) -> np.ndarray:
 def _build_qpe_log(readout: ChargeReadout) -> Circuit:
     """One qubit bank per charge, written through controlled charge phases and
     read by an inverse Fourier block; accepts when bank x shows the target in
-    binary (bit x on qubit x)."""
+    binary (bit x on qubit x).  Each bank's Fourier block follows its own
+    phases, before the next bank's, so a postselected run fixes one bank
+    before the next joins the system's group."""
     ell = readout.max_charge.bit_length()
     size = 2**ell
     banks = [[_wire("q", label, x) for x in range(ell)] for label, _, _ in readout.charges]
@@ -182,7 +189,7 @@ def _build_qpe_log(readout: ChargeReadout) -> Circuit:
     for bank, (_, level, _) in zip(banks, readout.charges):
         for x in range(ell):
             ops += [phase_k(w, num=2**x, den=size, level=level, controls=((bank[x], 1),)) for w in readout.system]
-    ops += [dense_unitary(tuple(bank), _fourier(size, -1)) for bank in banks]
+        ops.append(dense_unitary(tuple(bank), _fourier(size, -1)))
     qubits = tuple(q for bank in banks for q in bank)
     digits = tuple((target >> x) & 1 for _, _, target in readout.charges for x in range(ell))
     return _circuit(readout, "qpe-log", [(q, 2) for q in qubits], ops, (qubits, digits))
@@ -214,7 +221,9 @@ def _build_fanout(readout: ChargeReadout) -> Circuit:
     an interference test on its shifted charge.
 
     Counting each fan-out and each controlled charge phase as one layer,
-    the depth does not grow with n.
+    the depth does not grow with n.  Each flag's closing ``Hd`` follows its
+    own phase block, before the next flag's block and the uncompute, so a
+    postselected run fixes one flag before the next joins the group.
     """
     ell = readout.max_charge.bit_length()
     system = readout.system
@@ -225,13 +234,14 @@ def _build_fanout(readout: ChargeReadout) -> Circuit:
     ops += [hd(f) for f in flags]
     for c, (label, level, target) in enumerate(readout.charges):
         for x in range(1, ell + 1):
-            controls = ((_wire("f", label, x), 1),)
+            flag = _wire("f", label, x)
+            controls = ((flag, 1),)
             tag = _wire("U", label, x)
             for idx, w in enumerate(blocks[c * ell + x - 1]):
                 offset = target if idx == 0 else 0
                 ops.append(phase_k(w, num=1, den=2**x, offset=offset, level=level, controls=controls, layer_tag=tag))
+            ops.append(hd(flag))
     ops += [sum_dag(copy, src, layer_tag="Fdag") for block in copies for copy, src in zip(block, system)]
-    ops += [hd(f) for f in flags]
     ancillas = [(w, readout.site_amps.size) for block in copies for w in block] + [(f, 2) for f in flags]
     return _circuit(readout, "fanout", ancillas, ops, (tuple(flags), (0,) * len(flags)))
 

@@ -225,17 +225,26 @@ def test_oversized_spec_is_rejected_before_building(argv, register, capsys, monk
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("kvec", ["100,100,100", "1000,1000,1000", "100,100,99"])
+@pytest.mark.parametrize("kvec", ["100,100,100", "1000,1000,1000", "100,100,99", "10,9090"])
 def test_oversized_level_set_index_is_rejected_before_building(kvec, capsys, monkeypatch):
-    # prod(k_i + 1) partial occupations are never enumerated past the default cap: 101 * 101 * 100 > 10^6
+    # prod(k_i + 1) partial occupations are never enumerated past the cap of 10^5; 11 * 9091 is one more
     from quditdicke import cli
 
     monkeypatch.setattr(cli, "build_level_sets", lambda kvec: pytest.fail("built the level sets"))
     assert run_cli(["levelsets", "--kvec", kvec]) == 2
     captured = capsys.readouterr()
     shown = tuple(int(v) for v in kvec.split(","))
-    assert captured.err == f"error: the level-set index of {shown} exceeds the cap of 1000000 amplitudes\n"
+    assert captured.err == f"error: the level-set index of {shown} exceeds the cap of 100000 partial occupations\n"
     assert captured.out == ""
+
+
+def test_level_set_index_at_the_cap_is_built(capsys):
+    from quditdicke.cli import MAX_LEVEL_SET_LABELS
+
+    assert MAX_LEVEL_SET_LABELS == 100 * 1000
+    assert run_cli(["levelsets", "--kvec", "99,999"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert sum(len(level["elements"]) for level in data["levels"]) == MAX_LEVEL_SET_LABELS
 
 
 @pytest.mark.parametrize(

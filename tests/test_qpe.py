@@ -601,14 +601,14 @@ PINNED_BUILDS = [
     (build_qpe_log_spin_s, DickeSpecSpinS(3, 1, 1), "78afd1dca4b2980e1a0b5c11b3cfc7b1887faa534919ab8bf0ee6bff48bda888"),
     (build_hadamard_test_spin_s, DickeSpecSpinS(2, 2, 2), "820db40c5527907537c3c464859581147e45b7fa2d6ba462804b35f6b20b2056"),
     (build_hadamard_test_spin_s, DickeSpecSpinS(3, 1, 1), "3a86c6c361c13c7557776c32462b39537ad75d7f1487a26943e92d8a98fe1da9"),
-    (build_fanout_const_spin_s, DickeSpecSpinS(2, 2, 2), "a6b81126050c4f63e2cb80fa072193203e9b0a38a436df0923dfdce95aa752bd"),
-    (build_fanout_const_spin_s, DickeSpecSpinS(3, 1, 1), "94be691761d82a3478e3db8acb55ea8770cda79519b0f5f40439df9e8e2f64f9"),
-    (build_qpe_log_sud, DickeSpecSUD(2, (1, 1, 0)), "594a343a4c6043ac8a18bdcc12667deeb891bdc599a9ae80f53e9bee1967f09c"),
-    (build_qpe_log_sud, DickeSpecSUD(3, (1, 1, 1)), "27d64f2c0f1e291cbf37db6e6a7e688955705ac5537c50e36ad4372b99f479e4"),
+    (build_fanout_const_spin_s, DickeSpecSpinS(2, 2, 2), "baf78f55eaf0defb4b7b8917a183fad2a5a4f926a61ef10a290b9e634cbc982a"),
+    (build_fanout_const_spin_s, DickeSpecSpinS(3, 1, 1), "c47e9de365173188a4e8429b2ac40de5f1a96c8a5817f2ed4a324bcc08bc8bff"),
+    (build_qpe_log_sud, DickeSpecSUD(2, (1, 1, 0)), "41f88333596860be10bb55ee15c0dd8dfeed4fb1847b5e8300ad097a766332a6"),
+    (build_qpe_log_sud, DickeSpecSUD(3, (1, 1, 1)), "f39e66e96ccee56242dfdf771c0ad956932cb916dadb49d47b3370241ee7bad9"),
     (build_hadamard_test_sud, DickeSpecSUD(2, (1, 1, 0)), "e3f4ea1317eeee8575706bc29c77de9f6ad8b4c75d1c7e2f87c2e73ba8a3e6df"),
     (build_hadamard_test_sud, DickeSpecSUD(3, (1, 1, 1)), "f2f16a2dc9814ea9b2806f872747cf857c1390be461662291dbc5915b32bc8f2"),
-    (build_fanout_const_sud, DickeSpecSUD(2, (1, 1, 0)), "5c1ad56855ec0f6956f02c6602f062a52ed3c6072c078f35016b6a7aacd2115e"),
-    (build_fanout_const_sud, DickeSpecSUD(3, (1, 1, 1)), "b208058c25a6f152a5022003d4daac268588889decd65426be365713631cdcbd"),
+    (build_fanout_const_sud, DickeSpecSUD(2, (1, 1, 0)), "01680f9f7bb9479e732833ce3afd1c5346bc211314d12849ee86a50e622fc42f"),
+    (build_fanout_const_sud, DickeSpecSUD(3, (1, 1, 1)), "71f1d275c94bb6863b6253714d1df00b31c11a5686d13854ba74715415232d83"),
 ]
 
 
@@ -623,3 +623,69 @@ def test_builder_output_is_pinned(build, spec, expected):
     circuit = build(spec)
     text = "\n".join([circuit_to_json(circuit), repr(circuit.register.ids), repr([op.layer_tag for op in circuit.ops])])
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+def _criterion_3_circuits(methods):
+    from quditdicke.suites import spin_s_grid, sud_grid
+
+    for spec in [*spin_s_grid(3, 4), *sud_grid(3, 4)]:
+        family = "spin-s" if isinstance(spec, DickeSpecSpinS) else "sud"
+        for method in methods:
+            yield BUILDERS[family][method](spec)
+
+
+def _op_key(op):
+    params = tuple(sorted((k, v.tobytes().hex() if isinstance(v, np.ndarray) else repr(v)) for k, v in op.params.items()))
+    return (op.kind, op.targets, params, op.controls, op.layer_tag)
+
+
+def test_each_wire_sees_the_same_ops_in_the_same_order():
+    # a builder may move an op only past ops on disjoint wires, which keeps the unitary; then every
+    # wire still sees the same ops in the same order, and this digest, recorded before the charge
+    # registers' closing ops moved up, does not change
+    import hashlib
+
+    digest = hashlib.sha256()
+    for circuit in _criterion_3_circuits(("qpe-log", "hadamard", "fanout")):
+        per_wire = {w: [] for w in circuit.register.ids}
+        for op in circuit.ops:
+            for w in op.wires():
+                per_wire[w].append(_op_key(op))
+        digest.update(repr(list(per_wire.items())).encode())
+    assert digest.hexdigest() == "a6c4188d596de8e0c6a9e8767eb91e5a1d44bd8143c95236b3ccaabf8cd89164"
+
+
+def test_each_accept_wire_is_closed_as_soon_as_its_last_dependency_allows():
+    # an accept wire's last op follows the latest earlier op that shares one of its wires, with at most
+    # other accept wires' closing ops in between, so a postselected run fixes each charge register
+    # before the next one joins its group
+    for circuit in _criterion_3_circuits(("sequential", "qpe-log", "hadamard", "fanout")):
+        wires = [set(op.wires()) for op in circuit.ops]
+        touched = [w for w in circuit.accept_rule[0] if any(w in ws for ws in wires)]
+        closing = {max(i for i, ws in enumerate(wires) if w in ws) for w in touched}
+        for i in closing:
+            dependency = max((j for j in range(i) if wires[j] & wires[i]), default=-1)
+            assert set(range(dependency + 1, i)) <= closing, (circuit.meta["method"], circuit.meta, i)
+
+
+@pytest.mark.parametrize(
+    "build, spec, peak, size",
+    [
+        (build_qpe_log_sud, DickeSpecSUD(4, (2, 1, 1)), 648, 5_184),
+        (build_fanout_const_spin_s, DickeSpecSpinS(4, 1, 2), 8_192, 32_768),
+        (build_fanout_const_sud, DickeSpecSUD(2, (1, 1, 0)), 13_122, 104_976),
+    ],
+)
+def test_postselected_run_holds_one_charge_register_at_a_time(build, spec, peak, size, monkeypatch):
+    import quditdicke.sim as sim
+
+    circuit = build(spec)
+    sizes = []
+
+    def recording_apply_gate(state, op, **kwargs):
+        sizes.append(state.register.size)
+        return apply_gate(state, op, **kwargs)
+
+    monkeypatch.setattr(sim, "apply_gate", recording_apply_gate)
+    circuit.run(postselect=True)
+    assert (max(sizes), circuit.register.size) == (peak, size)
