@@ -20,9 +20,9 @@ import sys
 from fractions import Fraction
 
 from .levelsets import build_level_sets
-from .qpe import BUILDERS, expected_repetitions
+from .qpe import BUILDERS
 from .reference import DickeSpecSpinS, DickeSpecSUD, spin_s_dicke, sud_dicke
-from .report import count_resources
+from .report import count_resources, expected_repetitions
 from .serialize import circuit_to_json
 from .sim import accepted_branch
 from .suites import DEFAULT_MAX_AMPLITUDES, check_case, run_all

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,6 @@ from .reference import DickeSpecSpinS, DickeSpecSUD, binomial
 from .report import RunReport, verify_circuit
 from .sequential import build_sequential_spin_s, build_sequential_sud, rotation_cascade_angles
 from .sim import (
-    ATOL_PROBABILITY,
     Circuit,
     GateOp,
     QuditRegister,
@@ -282,47 +282,32 @@ BUILDERS = {
 }
 
 
-def expected_repetitions(probability: float) -> float:
-    """Mean number of runs until one accepts, 1/P; inf when P is at or below ATOL_PROBABILITY, which
-    counts as impossible, so rounding residue of a branch that is zero in exact arithmetic reads as 0."""
-    return math.inf if probability <= ATOL_PROBABILITY else 1.0 / probability
-
-
 def run_postselected(circuit: Circuit, oracle_state: StateVector, shots: int = 0, seed: int | None = None) -> RunReport:
-    """Simulate, project exactly on the accept rule, and report.
+    """``report.verify_circuit``, with an impossible acceptance noted and optional shots drawn.
 
-    Without shots the run keeps only the accepted branch
-    (``Circuit.run(postselect=True)``).  With ``shots`` > 0 it keeps the full
-    state, since a draw needs every outcome of the accept-register marginal,
-    and P is read from that state, so its last bits may differ from those
-    of an undrawn run.  The marginal is sampled with ``default_rng(seed)``,
-    seed 0 when ``seed`` is None, and the report's ``seed`` is the one the
-    draws used.  The empirical acceptance frequency is the report's
-    ``sampled_frequency`` and is also noted; it counts the shots that
-    ``choice`` on the marginal would give the accept digits
+    P and F come from the accepted branch whether or not shots are drawn.
+    With ``shots`` > 0 the circuit is simulated once more, to the full
+    state, only to draw shots from its accept-register marginal with
+    ``default_rng(seed)``, seed 0 when ``seed`` is None; the report's
+    ``seed`` is the one the draws used.  The empirical acceptance frequency
+    is the report's ``sampled_frequency`` and is also noted; it counts the
+    shots that ``choice`` on the marginal would give the accept digits
     (``sim._count_outcome``), so reruns with the report's seed are
-    bit-identical.  Negative ``shots`` raise ValueError.
+    bit-identical.  The report's ``wallclock_ms`` covers the draw.
+    Negative ``shots`` raise ValueError.
     """
-    if circuit.accept_rule is None:
-        raise ValueError("circuit has no accept rule to postselect on")
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
+    start = time.perf_counter()
+    report = verify_circuit(circuit, oracle_state)
+    if report.expected_repetitions == math.inf:
+        report.notes.append("acceptance has probability 0: reported as failure")
     if shots:
         seed = 0 if seed is None else int(seed)
-    frequency = None
-
-    def judge(state, probability, notes):
-        nonlocal frequency
-        repetitions = expected_repetitions(probability)
-        if repetitions == math.inf:
-            notes.append("acceptance has probability 0: reported as failure")
-        if shots:
-            wires, digits = circuit.accept_rule
-            hits = _count_outcome(state, wires, outcome_index(circuit.register, wires, digits), seed, int(shots))
-            frequency = float(hits) / float(shots)
-            notes.append(f"sampled acceptance frequency {frequency!r} over {shots} shots")
-        return probability, repetitions, seed
-
-    report = verify_circuit(circuit, oracle_state, judge, postselect=not shots)  # a draw needs every outcome
-    report.sampled_frequency = frequency
+        wires, digits = circuit.accept_rule
+        hits = _count_outcome(circuit.run(), wires, outcome_index(circuit.register, wires, digits), seed, int(shots))
+        report.sampled_frequency = float(hits) / float(shots)
+        report.notes.append(f"sampled acceptance frequency {report.sampled_frequency!r} over {shots} shots")
+        report.wallclock_ms = int(round((time.perf_counter() - start) * 1000))
+    report.seed = seed
     return report

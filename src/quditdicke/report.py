@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sim import Circuit, StateVector, _outcome_block, accepted_branch
+from .sim import ATOL_PROBABILITY, Circuit, StateVector, accepted_branch
 
 def logical_depth(circuit: Circuit) -> int:
     tagged: dict[str, set] = {}
@@ -79,6 +79,12 @@ def embedded_reference(circuit: Circuit, oracle: StateVector, fixed: dict) -> St
     sel = (slice(None),) * n + tuple(int(fixed.get(w, 0)) for w in reg.ids[n:])
     out.reshape(reg.dims, order="F")[sel] = oracle.amplitudes.reshape(oracle.register.dims, order="F")
     return StateVector(reg, out)
+
+
+def expected_repetitions(probability: float) -> float:
+    """Mean number of runs until one accepts, 1/P; inf when P is at or below ATOL_PROBABILITY, which
+    counts as impossible, so rounding residue of a branch that is zero in exact arithmetic reads as 0."""
+    return math.inf if probability <= ATOL_PROBABILITY else 1.0 / probability
 
 
 def _finite_or_null(value):
@@ -165,52 +171,37 @@ def spec_fields(circuit: Circuit) -> dict:
     return out
 
 
-def verify_circuit(circuit: Circuit, oracle_state: StateVector, judge, *, postselect: bool = True) -> RunReport:
-    """The one verify path: simulate, read the accepted block, judge it
-    against the oracle, and count resources.
+def verify_circuit(circuit: Circuit, oracle_state: StateVector) -> RunReport:
+    """The one verify path: read P and F off the accepted branch and count resources.
 
-    With ``postselect`` (the default) the block is the accepted branch of
-    ``sim.accepted_branch``: the run fixes each accept wire to its accept
-    digit after its last op, and P is the branch's squared norm.  Without
-    it the run keeps the full state, which ``judge`` then receives, and the
-    block is the full state's view where the accept wires read the accept
-    digits, P its squared norm; a caller that draws shots needs every
-    outcome of that state.  The two P agree within rounding.  F is
-    |<block / sqrt(P) | oracle>|^2 with every other ancilla at 0, equal to
-    ``fidelity(conditional, embedded_reference(...))`` with no
-    register-sized copy.  ``judge(state, P, notes)`` gives the report's
-    (acceptance probability, expected repetitions, seed) and may append
-    notes.  An impossible acceptance gives probability 0 and fidelity 0.
+    The branch is ``sim.accepted_branch``'s: the run fixes each accept wire
+    to its accept digit after its last op, and P is the branch's squared
+    norm.  F is |<branch / sqrt(P) | oracle>|^2 with every other ancilla at
+    0, equal to ``fidelity(conditional, embedded_reference(...))`` with no
+    register-sized copy.  An impossible acceptance gives probability 0,
+    fidelity 0 and infinite expected repetitions.  A circuit with no accept
+    rule raises ValueError.
     """
     start = time.perf_counter()
     reg, n = circuit.register, len(oracle_state.register)
     if reg.dims[:n] != oracle_state.register.dims:
         raise ValueError("oracle register does not match the circuit's system wires")
-    wires, digits = circuit.accept_rule
-    if postselect:
-        state, probability = accepted_branch(circuit)
-        block = state.tensor()
-    else:
-        state = circuit.run()
-        _, block, probability = _outcome_block(state, wires, digits)
-    notes = list(circuit.meta.get("notes", ()))
-    fixed = dict(zip(wires, digits))
-    # the block's axes are the unlisted wires in register order: keep the system, pin the other ancillas at 0
-    conditional = block[tuple(slice(None) if p < n else 0 for p, w in enumerate(reg.ids) if w not in fixed)].ravel(order="F")
+    branch, probability = accepted_branch(circuit)
+    fixed = dict(zip(*circuit.accept_rule))
+    # the branch's axes are the unlisted wires in register order: keep the system, pin the other ancillas at 0
+    conditional = branch.tensor()[tuple(slice(None) if p < n else 0 for p, w in enumerate(reg.ids) if w not in fixed)].ravel(order="F")
     oracle = oracle_state.tensor()[tuple(fixed.get(w, slice(None)) for w in reg.ids[:n])].ravel(order="F")
     fid = float(abs(np.vdot(conditional / math.sqrt(probability), oracle)) ** 2) if probability else 0.0
-    accepted, repetitions, seed = judge(state, probability, notes)
     gate_count, depth, census = count_resources(circuit, n)
     return RunReport(
         spec=spec_fields(circuit),
-        acceptance_probability=accepted,
+        acceptance_probability=probability,
         conditional_fidelity=fid,
-        expected_repetitions=repetitions,
+        expected_repetitions=expected_repetitions(probability),
         gate_count=gate_count,
         logical_depth=depth,
         ancilla_census=census,
         optimal_parameter=circuit.meta.get("optimal_parameter"),
-        seed=seed,
         wallclock_ms=int(round((time.perf_counter() - start) * 1000)),
-        notes=notes,
+        notes=list(circuit.meta.get("notes", ())),
     )

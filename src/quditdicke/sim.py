@@ -43,14 +43,13 @@ The same product joins the last groups into the full register state that
 ``run(postselect=True)`` keeps only the accepted branch.  By deferred
 measurement a wire that no later op touches can be measured at once, so
 each accept wire is fixed to its accept digit right after its last
-acting op (found by one reverse scan of the acting ops), and every later
-op acts on a group smaller by that wire's dimension.  The branch is the
-unnormalized state over the other wires, equal to the full state's
-accepted block within rounding: the ops after a fix multiply smaller blocks, and BLAS
-may round a column differently when the column count changes.
-Every acceptance probability that draws no shots is read from the branch:
-``accepted_branch`` gives the branch and its squared norm P, the readout
-of ``report.verify_circuit`` and of ``quditdicke sweep``, and
+acting op, and every later op acts on a group smaller by that wire's
+dimension.  The branch equals the full state's accepted block within
+rounding: the ops after a fix multiply smaller blocks, and BLAS may
+round a column differently when the column count changes.  Every
+acceptance probability is read from the branch: ``accepted_branch``
+gives the branch and its squared norm P, the one readout of
+``report.verify_circuit`` and of ``quditdicke sweep``, and
 ``qpe._boost_sweep`` reads a boost grid's marginal off its branch.
 
 The readout reads the state once and allocates nothing register-sized
@@ -59,8 +58,7 @@ except the collapsed state it returns.  ``outcome_distribution`` is one
 themselves onto the listed wires.  ``_outcome_block`` views the block
 where the listed wires read fixed digits, with its probability from one
 ``np.vdot``; ``project_on_outcome`` multiplies it by 1/sqrt(P) straight
-into the zeroed output, and ``report.verify_circuit`` judges it in place
-for a run that draws shots, which reads the full state.
+into the zeroed output.
 ``sample_measure`` and the shot counts of ``qpe.run_postselected`` share
 one CDF, ``_cdf``, built as ``Generator.choice`` builds it from the exact
 marginal.  ``_draw_outcomes`` maps one ``default_rng(seed)`` uniform to
@@ -776,57 +774,50 @@ class Circuit:
         With ``postselect`` the result is the accepted branch instead: the
         unnormalized amplitudes where the accept wires read the accept
         digits, over the other wires in register order, whose squared norm
-        is the acceptance probability.  One reverse scan of the acting ops
-        finds the last of them on each accept wire; right after it the wire
-        is fixed to its accept digit (before the first op when no acting op
-        touches it), so its group shrinks by the wire's dimension and every
-        later op acts on the smaller group.  No later op reads the wire, so by deferred
-        measurement the branch is the full state's accepted block, equal to
-        it within rounding.  A circuit with no accept rule, or one whose
-        accept rule lists every wire, raises ValueError.
+        is the acceptance probability.  One reverse scan maps the index of
+        each accept wire's last acting op to the {wire: digit} pairs fixed
+        right after it; a wire that no acting op touches is fixed before the
+        first.  Every later op acts on a group smaller by the fixed wire's
+        dimension, and by deferred measurement the branch equals the full
+        state's accepted block within rounding.  A circuit with no accept
+        rule, or one whose accept rule lists every wire, raises ValueError.
         """
         reg = self.register
         if initial_digits is None:
             initial_digits = (0,) * len(reg)
         reg.flat_index(initial_digits)  # rejects a wrong digit count or a digit out of range
         ops = [op for op in self.ops if _acts(op)]
-        # (ops, then the (wire, digit) pairs to fix after them) in order; without postselect, one stage
-        stages = [(ops, ())]
+        pending: dict = {}  # accept wires no acting op touches: fixed before the first op
+        fixed_after: dict[int, dict] = {}  # op index -> {wire: digit} fixed right after it
         if postselect:
             if self.accept_rule is None:
                 raise ValueError("circuit has no accept rule to postselect on")
             pending = dict(zip(*self.accept_rule))
             if len(pending) == len(reg):
                 raise ValueError("the accept rule lists every wire, so no branch is left to return")
-            fixed_after: dict[int, list] = {}  # op index -> (wire, digit) pairs fixed right after it
             for index in range(len(ops) - 1, -1, -1):  # one reverse scan meets each wire's last acting op first
                 if not pending:
                     break
                 for wire in ops[index].wires():
                     if wire in pending:
-                        fixed_after.setdefault(index, []).append((wire, pending.pop(wire)))
-            fixed_after[-1] = list(pending.items())  # no acting op touches these: fixed before the first op
-            stages, start = [], 0
-            for end in sorted(fixed_after):
-                stages.append((ops[start : end + 1], fixed_after[end]))
-                start = end + 1
-            stages.append((ops[start:], ()))
+                        fixed_after.setdefault(index, {})[wire] = pending.pop(wire)
         group_of = {
             wire: new_basis_state(QuditRegister(((wire, dim),)), (digit,))
             for wire, dim, digit in zip(reg.ids, reg.dims, initial_digits)
         }
         weight = 1.0  # product of the amplitudes of groups whose every wire is fixed
-        for stage, fixed in stages:
-            for op in stage:
-                group = _product(list(dict.fromkeys([group_of[w] for w in op.wires()])), reg)
-                if group is not group_of[op.targets[0]]:  # merged: map its wires now, which frees the parts
-                    group_of.update(dict.fromkeys(group.register.ids, group))
-                apply_gate(group, op, in_place=True)
-            pinned: dict = {}  # group -> {wire: digit}; the wires of one op share a group, so each slices once
-            for wire, digit in fixed:
-                pinned.setdefault(group_of.pop(wire), {})[wire] = digit
-            while pinned:  # popped and rebound, so no group outlives its slice
-                group = _fix(*pinned.popitem())
+        for wire, digit in pending.items():  # each still in its one-wire group
+            weight *= _fix(group_of.pop(wire), {wire: digit})
+        for index, op in enumerate(ops):
+            group = _product(list(dict.fromkeys([group_of[w] for w in op.wires()])), reg)
+            if group is not group_of[op.targets[0]]:  # merged: map its wires now, which frees the parts
+                group_of.update(dict.fromkeys(group.register.ids, group))
+            apply_gate(group, op, in_place=True)
+            fixed = fixed_after.get(index)
+            if fixed:  # the op's wires share its group: slice it once, and rebind so it does not outlive the slice
+                for wire in fixed:
+                    del group_of[wire]
+                group = _fix(group, fixed)
                 if isinstance(group, StateVector):
                     group_of.update(dict.fromkeys(group.register.ids, group))
                 else:

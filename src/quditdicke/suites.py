@@ -24,10 +24,10 @@ one's hadamard acceptance probability on a 101-point boost grid.  It
 keeps the circuit ``_cases`` builds for each spec (and cap-checks) and
 simulates the whole grid with ``qpe._boost_sweep``: one postselected run
 in which a ``grid`` wire of dimension L selects the boost, its accepted
-branch read like every other P that draws no shots, so a spec costs one
-build and one run, not 101 of each.  That run holds L times the built
-register, so under the amplitude cap the grid is split into sweeps of at
-most cap // register size boosts.  ``quditdicke sweep --param p`` stays
+branch read like every other P, so a spec costs one build and one run,
+not 101 of each.  That run holds L times the built register, so under
+the amplitude cap the grid is split into sweeps of at most
+cap // register size boosts.  ``quditdicke sweep --param p`` stays
 per point: its CSV prints each probability with ``repr``, and a sweep
 would move their last bits.
 """

@@ -151,7 +151,7 @@ def spec_method_cases(draw):
 def readouts(circuit, oracle):
     """(P, F) of verify_circuit's branch readout and of the register-sized cross-check:
     project_on_outcome on the full state, then fidelity against embedded_reference."""
-    report = verify_circuit(circuit, oracle, lambda state, probability, notes: (probability, 0.0, None))
+    report = verify_circuit(circuit, oracle)
     wires, digits = circuit.accept_rule
     probability, conditional = project_on_outcome(circuit.run(), wires, digits)
     embedded = embedded_reference(circuit, oracle, dict(zip(wires, digits)))
@@ -201,7 +201,7 @@ def test_block_readout_sees_an_ancilla_outside_the_accept_rule():
 def test_block_readout_rejects_an_oracle_on_other_dims():
     circuit = BUILDERS["spin-s"]["qpe-log"](DickeSpecSpinS(2, 2, 1))
     with pytest.raises(ValueError):
-        verify_circuit(circuit, spin_s_dicke(DickeSpecSpinS(2, 1, 1)), lambda state, probability, notes: (probability, 0.0, None))
+        verify_circuit(circuit, spin_s_dicke(DickeSpecSpinS(2, 1, 1)))
 
 
 def test_every_criterion_that_simulates_skips_above_the_cap():

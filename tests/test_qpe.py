@@ -376,7 +376,7 @@ def test_run_postselected_requires_accept_rule():
     reg = QuditRegister.of_dims([2])
     from quditdicke.sim import Circuit
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="circuit has no accept rule to postselect on"):
         run_postselected(Circuit(reg, []), new_basis_state(reg, (0,)))
 
 
@@ -570,6 +570,22 @@ def test_acceptance_probability_is_the_verify_readout(method):
         circuit = BUILDERS["spin-s"][method](spec)
         report = run_postselected(circuit, spin_s_dicke(spec))
         assert accepted_branch(circuit)[1] == report.acceptance_probability
+
+
+@pytest.mark.parametrize("method", ("qpe-log", "hadamard", "fanout"))
+@pytest.mark.parametrize("family", ("spin-s", "sud"))
+def test_seeded_run_reports_the_unseeded_p_and_f(family, method):
+    from quditdicke.suites import spin_s_grid, sud_grid
+
+    specs = list(spin_s_grid(3, 4) if family == "spin-s" else sud_grid(3, 4))
+    assert family == "spin-s" or DickeSpecSUD(4, (0, 0, 4)) in specs
+    for spec in specs:
+        circuit = BUILDERS[family][method](spec)
+        if circuit.register.size > 6000:
+            continue
+        oracle = spin_s_dicke(spec) if family == "spin-s" else sud_dicke(spec)
+        unseeded, seeded = run_postselected(circuit, oracle), run_postselected(circuit, oracle, shots=1, seed=0)
+        assert (seeded.acceptance_probability, seeded.conditional_fidelity) == (unseeded.acceptance_probability, unseeded.conditional_fidelity), spec
 
 
 def test_shot_counts_hold_one_block_of_draws():

@@ -17,7 +17,7 @@ from quditdicke.sequential import (
     spin_s_l_range,
     verify_sequential,
 )
-from quditdicke.sim import Circuit, QuditRegister, apply_gate, new_basis_state, rot
+from quditdicke.sim import Circuit, QuditRegister, apply_gate, new_basis_state, rot, xd
 from quditdicke.suites import spin_s_expected_gate_count, sud_expected_gate_count
 
 
@@ -359,3 +359,23 @@ def test_verify_sequential_identity_circuit():
     assert report.conditional_fidelity == pytest.approx(1.0)
     assert report.gate_count == 0 and report.logical_depth == 0
     assert report.ancilla_census == [[2, 1]]
+
+
+@pytest.mark.parametrize("extra, probability", [(rot("mps", 0, 1.0), 0.770), (xd("mps"), 0.0)], ids=("rot", "xd"))
+def test_failed_ancilla_check_reports_its_expected_repetitions(extra, probability):
+    spec = DickeSpecSpinS(3, 1, 1)
+    built = build_sequential_spin_s(spec)
+    circuit = Circuit(built.register, built.ops + (extra,), built.accept_rule, built.meta)
+    report = verify_sequential(circuit, spin_s_dicke(spec))
+    assert report.acceptance_probability == pytest.approx(probability, abs=1e-3)
+    # the same rule as every other report: 1/P, infinite at or below ATOL_PROBABILITY
+    expected = 1.0 / report.acceptance_probability if probability else math.inf
+    assert report.expected_repetitions == expected
+    assert any(note.startswith("ancilla check failed") for note in report.notes)
+
+
+def test_verify_sequential_requires_accept_rule():
+    reg = QuditRegister([("s1", 2), ("mps", 2)])
+    circuit = Circuit(reg, [], meta={"n": 1})
+    with pytest.raises(ValueError, match="circuit has no accept rule to postselect on"):
+        verify_sequential(circuit, new_basis_state(QuditRegister.of_dims([2]), (0,)))
