@@ -289,12 +289,12 @@ def run_postselected(circuit: Circuit, oracle_state: StateVector, shots: int = 0
     With ``shots`` > 0 the circuit is simulated once more, to the full
     state, only to draw shots from its accept-register marginal with
     ``default_rng(seed)``, seed 0 when ``seed`` is None; the report's
-    ``seed`` is the one the draws used.  The empirical acceptance frequency
-    is the report's ``sampled_frequency`` and is also noted; it counts the
-    shots that ``choice`` on the marginal would give the accept digits
-    (``sim._count_outcome``), so reruns with the report's seed are
-    bit-identical.  The report's ``wallclock_ms`` covers the draw.
-    Negative ``shots`` raise ValueError.
+    ``seed`` is the one the draws used, None when no shot is drawn.  The
+    empirical acceptance frequency is the report's ``sampled_frequency``
+    and is also noted; it counts the shots that ``choice`` on the marginal
+    would give the accept digits (``sim._count_outcome``), so reruns with
+    the report's seed are bit-identical.  The report's ``wallclock_ms``
+    covers the draw.  Negative ``shots`` raise ValueError.
     """
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
@@ -303,11 +303,10 @@ def run_postselected(circuit: Circuit, oracle_state: StateVector, shots: int = 0
     if report.expected_repetitions == math.inf:
         report.notes.append("acceptance has probability 0: reported as failure")
     if shots:
-        seed = 0 if seed is None else int(seed)
+        report.seed = 0 if seed is None else int(seed)
         wires, digits = circuit.accept_rule
-        hits = _count_outcome(circuit.run(), wires, outcome_index(circuit.register, wires, digits), seed, int(shots))
+        hits = _count_outcome(circuit.run(), wires, outcome_index(circuit.register, wires, digits), report.seed, int(shots))
         report.sampled_frequency = float(hits) / float(shots)
         report.notes.append(f"sampled acceptance frequency {report.sampled_frequency!r} over {shots} shots")
         report.wallclock_ms = int(round((time.perf_counter() - start) * 1000))
-    report.seed = seed
     return report

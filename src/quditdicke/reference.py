@@ -7,7 +7,10 @@ is an exact rational rounded once, by correctly rounded integer division,
 before the final square root, which keeps the d=2 reduction of the
 multilevel family bitwise identical to the spin-1/2 closed form.  The
 bond coefficients come as rows, one per (site, bond label), so a row
-evaluates its denominator once.
+evaluates its denominator once.  ``bond_table`` lists a spec's rows site
+by site in bond-digit order, each with the bond digit that every site
+level leads to: the sequential multilevel builder emits its blocks from
+this table, and criterion 7 contracts the same table into the closed form.
 
 Every quantity folded over the sites of a digit string (the charge sum,
 the product of site weights, the occupation key, a level count) comes
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .levelsets import build_level_sets
 from .sim import QuditRegister, StateVector
 
 
@@ -196,6 +200,28 @@ def gamma_sud(n: int, kvec, i: int, a, m: int) -> float:
     return row[m]
 
 
+def bond_table(spec) -> tuple[tuple[tuple, ...], ...]:
+    """The exact canonical MPS of ``spec``: for each site i = 1..n, one ``(label, row, after)`` per bond digit
+    before the site, in digit order.
+
+    ``label`` is the charge j of a spin-s spec (digit j, every j in 0..k) or the partial occupation a of a
+    sud spec (digit: its level-set label); ``row`` is its ``gamma_row_*`` over the site levels; ``after[m]``
+    is the bond digit that level m leads to, None where row[m] is 0.
+    """
+    n = spec.n
+    if isinstance(spec, DickeSpecSpinS):
+        rows = [[(j, gamma_row_spin_s(n, spec.twice_s, spec.k, i, j)) for j in range(spec.k + 1)] for i in range(1, n + 1)]
+        digit = lambda i, j, m: j + m
+    else:
+        levels = build_level_sets(spec.kvec)
+        rows = [[(a, gamma_row_sud(n, spec.kvec, i, a)) for a in levels.elements(i - 1)] for i in range(1, n + 1)]
+        digit = lambda i, a, m: levels.label(i, a[:m] + (a[m] + 1,) + a[m + 1 :])
+    return tuple(
+        tuple((label, row, tuple(digit(i, label, m) if g else None for m, g in enumerate(row))) for label, row in site)
+        for i, site in enumerate(rows, 1)
+    )
+
+
 def _check_uniform(state: StateVector, dim: int) -> None:
     if any(d != dim for d in state.register.dims):
         raise ValueError(f"state is not a uniform register of dimension {dim}")
@@ -232,21 +258,17 @@ def charge_moments_sud(state: StateVector, d: int, level: int) -> tuple[float, f
 
 @dataclass(frozen=True)
 class ProbabilityReport:
-    """Optimal boost parameter with the exact and approximate success probability."""
+    """Optimal boost parameter with the exact success probability."""
 
     optimal_parameter: object
     probability: float
-    expected_repetitions: float
-    stirling: float
 
 
 def probability_spin_s(n: int, twice_s: int, k: int) -> ProbabilityReport:
     """Postselection success probability at the optimal boost p = k/(2sn).
 
     Exact value C(2sn, k) p^k (1-p)^(2sn-k) evaluated in log space, with
-    the 0^0 = 1 convention making both charge edges certain.  The
-    square-root approximation is reported alongside, with vanishing
-    factors skipped.
+    the 0^0 = 1 convention making both charge edges certain.
     """
     total = twice_s * n
     if not 0 <= k <= total:
@@ -257,16 +279,13 @@ def probability_spin_s(n: int, twice_s: int, k: int) -> ProbabilityReport:
     else:
         log_p = math.log(binomial(total, k)) + k * math.log(p) + (total - k) * math.log1p(-p)
         probability = math.exp(log_p)
-    factors = [v for v in (k, total - k) if v > 0]
-    stirling = math.sqrt(total / (2.0 * math.pi * math.prod(factors)))
-    return ProbabilityReport(p, probability, 1.0 / probability, stirling)
+    return ProbabilityReport(p, probability)
 
 
 def probability_sud(n: int, kvec) -> ProbabilityReport:
     """Postselection success probability at the optimal boost xi_i = sqrt(k_i/n).
 
-    Exact value (n!/n^n) prod_i k_i^{k_i}/k_i! with 0^0 = 1, in log space;
-    the square-root approximation skips zero occupations.
+    Exact value (n!/n^n) prod_i k_i^{k_i}/k_i! with 0^0 = 1, in log space.
     """
     kvec = tuple(int(v) for v in kvec)
     if any(v < 0 for v in kvec) or sum(kvec) != n:
@@ -276,8 +295,4 @@ def probability_sud(n: int, kvec) -> ProbabilityReport:
     for v in kvec:
         if v > 0:
             log_p += v * math.log(v) - math.log(math.factorial(v))
-    probability = math.exp(log_p)
-    nonzero = [v for v in kvec if v > 0]
-    d = len(kvec)
-    stirling = math.sqrt(n / ((2.0 * math.pi) ** (d - 1) * math.prod(nonzero)))
-    return ProbabilityReport(xi, probability, 1.0 / probability, stirling)
+    return ProbabilityReport(xi, math.exp(log_p))

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .levelsets import LevelSetIndex, build_level_sets
-from .reference import DickeSpecSpinS, DickeSpecSUD, gamma_row_spin_s, gamma_row_sud
+from .reference import DickeSpecSpinS, DickeSpecSUD, bond_table, gamma_row_spin_s
 from .report import RunReport, verify_circuit
 from .sim import (
     ANCILLA_ACCEPT,
@@ -136,36 +135,28 @@ def build_sequential_spin_s(spec: DickeSpecSpinS, via_duality: bool = False) -> 
     return circuit
 
 
-def build_i_sud(n: int, kvec, i: int, a, levels: LevelSetIndex) -> list[GateOp]:
-    """Gate sequence of one multilevel emission block (3d gates).
+def build_i_sud(i: int, p: int, row, after) -> list[GateOp]:
+    """Gate sequence of the multilevel emission block of bond digit p at site i (3d gates).
 
-    A double-controlled NOT arms the flag when the site reads 0 and the
-    bond ancilla reads the label of ``a``; flag-controlled rotations split
-    the site amplitude; double-controlled level swaps relabel the ancilla;
-    double-controlled NOTs disarm the flag.  Skipped branches (vanishing
-    coefficients) emit zero-phase placeholders so the 3d count holds.
+    ``row`` and ``after`` are the digit's ``reference.bond_table`` entry:
+    the coefficients over the d site levels and the bond digit each level
+    leads to.  A double-controlled NOT arms the flag when the site reads 0
+    and the bond ancilla reads p; flag-controlled rotations split the site
+    amplitude; double-controlled level swaps relabel the ancilla to
+    ``after``; double-controlled NOTs disarm the flag.  Skipped branches
+    (vanishing coefficients) emit zero-phase placeholders so the 3d count
+    holds.
     """
-    kvec = tuple(int(v) for v in kvec)
-    d = len(kvec)
-    a = tuple(int(v) for v in a)
-    p = levels.label(i - 1, a)
     system = f"s{i}"
-    gammas = gamma_row_sud(n, kvec, i, a)
-    labels_to = []
-    for m in range(d):
-        bumped = a[:m] + (a[m] + 1,) + a[m + 1 :]
-        labels_to.append(levels.label(i, bumped) if gammas[m] > 0.0 else None)
-    angles = rotation_cascade_angles(gammas)
+    angles = rotation_cascade_angles(row)
     ops = [xd("flag", controls=((system, 0), ("mps", p)))]
-    ops += [rot(system, m, angles[m], controls=(("flag", 1),)) for m in range(d - 1)]
-    for m in range(d):
-        target = labels_to[m]
+    ops += [rot(system, m, angles[m], controls=(("flag", 1),)) for m in range(len(row) - 1)]
+    for m, target in enumerate(after):
         if target is None or target == p:
             ops.append(phase_k("mps", num=0, den=1, controls=((system, m), ("flag", 1))))
         else:
             ops.append(xswap("mps", p, target, controls=((system, m), ("flag", 1))))
-    for m in range(d):
-        target = labels_to[m]
+    for m, target in enumerate(after):
         if target is None:
             ops.append(phase_k("flag", num=0, den=1, controls=((system, m),)))
         else:
@@ -182,9 +173,9 @@ def build_sequential_sud(spec: DickeSpecSUD) -> Circuit:
     """Deterministic circuit leaving the system in the occupation target
     with the bond ancilla and flag both back in |0>."""
     n, kvec, d = spec.n, spec.kvec, spec.d
-    levels = build_level_sets(kvec)
+    table = bond_table(spec)
     wires = [(f"s{j}", d) for j in range(1, n + 1)]
-    wires += [("mps", max(levels.chi, 2)), ("flag", 2)]
+    wires += [("mps", max(2, *map(len, table))), ("flag", 2)]
     ops: list[GateOp] = []
     lone = _single_level(kvec)
     if lone is not None:
@@ -192,9 +183,9 @@ def build_sequential_sud(spec: DickeSpecSUD) -> Circuit:
         if lone != 0:
             ops = [xswap(f"s{j}", 0, lone) for j in range(1, n + 1)]
     else:
-        for i in range(1, n + 1):
-            for a in levels.elements(i - 1):
-                ops += build_i_sud(n, kvec, i, a, levels)
+        for i, site in enumerate(table, 1):
+            for p, (_, row, after) in enumerate(site):
+                ops += build_i_sud(i, p, row, after)
     return Circuit(
         QuditRegister(wires),
         ops,

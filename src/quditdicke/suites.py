@@ -56,10 +56,9 @@ from .reference import (
     DickeSpecSpinS,
     DickeSpecSUD,
     apply_charge_conjugation,
+    bond_table,
     charge_moments_spin_s,
     charge_moments_sud,
-    gamma_row_spin_s,
-    gamma_row_sud,
     probability_spin_s,
     probability_sud,
     spin_s_dicke,
@@ -120,30 +119,6 @@ def _family(spec) -> tuple[str, str]:
     if isinstance(spec, DickeSpecSpinS):
         return "spin-s", f"n={spec.n} 2s={spec.twice_s} k={spec.k}"
     return "sud", f"n={spec.n} kvec={spec.kvec}"
-
-
-def _bond_factorization(spec):
-    """Site dimension, bond labels before site i, label step, coefficient row(i, label) over the site
-    levels, label name in detail lines, and the labels before the first and after the last site."""
-    if isinstance(spec, DickeSpecSpinS):
-        n, twice_s, k = spec.n, spec.twice_s, spec.k
-        return (
-            spec.dim,
-            lambda i: range(k + 1),
-            operator.add,
-            lambda i, j: gamma_row_spin_s(n, twice_s, k, i, j),
-            "l",
-            (0, k),
-        )
-    levels = build_level_sets(spec.kvec)
-    return (
-        spec.d,
-        lambda i: levels.elements(i - 1),
-        lambda a, m: a[:m] + (a[m] + 1,) + a[m + 1 :],
-        lambda i, a: gamma_row_sud(spec.n, spec.kvec, i, a),
-        "a",
-        ((0,) * spec.d, spec.kvec),
-    )
 
 
 def _oracle(spec):
@@ -307,25 +282,27 @@ def criterion_mps_canonical(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> Cri
     failures: list[str] = []
     for spec in itertools.chain(spin_s_grid(3, 5), sud_grid(4, 5)):
         family, label = _family(spec)
-        dim, labels, step, row_of, name, (first, last) = _bond_factorization(spec)
-        # amplitudes of every digit string of the sites so far, by the bond label it ends on
-        prefix = {first: np.ones(1)}
-        for i in range(1, spec.n + 1):
-            rows = {}
-            for bond in labels(i):
-                row = rows[bond] = row_of(i, bond)
+        spin = family == "spin-s"
+        dim = spec.dim if spin else spec.d
+        # amplitudes of every digit string of the sites so far, by the bond digit it ends on
+        prefix = {0: np.ones(1)}
+        for i, site in enumerate(bond_table(spec), 1):
+            for bond, row, _ in site:
                 total = sum(g * g for g in row)
                 if any(row) and abs(total - 1.0) > ATOL_IDENTITY:
-                    failures.append(f"{family} row {label} i={i} {name}={bond}: sum {total!r}")
+                    failures.append(f"{family} row {label} i={i} {'l' if spin else 'a'}={bond}: sum {total!r}")
             size = dim ** (i - 1)
             contracted = defaultdict(lambda: np.zeros(dim * size))
-            for bond, amplitudes in prefix.items():
-                for m, g in enumerate(rows[bond]):
+            for digit, amplitudes in prefix.items():
+                if not 0 <= digit < len(site):
+                    continue  # a digit past the site's bond digits leads nowhere: its strings go missing
+                _, row, after = site[digit]
+                for m, g in enumerate(row):
                     if g != 0.0:
-                        contracted[step(bond, m)][m * size : (m + 1) * size] = amplitudes * g
+                        contracted[after[m]][m * size : (m + 1) * size] = amplitudes * g
             prefix = contracted
         oracle = _oracle(spec)
-        mismatch = np.flatnonzero(np.abs(prefix.get(last, 0.0) - oracle.amplitudes.real) > ATOL_IDENTITY)
+        mismatch = np.flatnonzero(np.abs(prefix.get(spec.k if spin else 0, 0.0) - oracle.amplitudes.real) > ATOL_IDENTITY)
         if mismatch.size:
             failures.append(f"{family} contraction {label} digits={oracle.register.digits_of(int(mismatch[0]))}")
     return _result("criterion-7", description, failures, [])

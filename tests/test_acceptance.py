@@ -91,38 +91,67 @@ def test_sequential_amplitudes_match_the_oracle():
     assert worst <= 1e-14
 
 
+def _scale_row(name, hit):
+    """Patch ``reference.<name>`` to scale each row whose arguments ``hit`` holds for by 1.001."""
+
+    def patch(monkeypatch):
+        from quditdicke import reference
+
+        exact = getattr(reference, name)
+        monkeypatch.setattr(reference, name, lambda *args: tuple(g * (1.001 if hit(*args) else 1.0) for g in exact(*args)))
+
+    return patch
+
+
+def _shift_after(spec, i, label):
+    """Patch ``suites.bond_table`` to add 1 to every bond digit that ``label`` of ``spec`` leads to at site i."""
+
+    def patch(monkeypatch):
+        from quditdicke import suites
+
+        exact = suites.bond_table
+
+        def shifted(other):
+            table = exact(other)
+            if other != spec:
+                return table
+            site = [(a, row, tuple(t if t is None or a != label else t + 1 for t in after)) for a, row, after in table[i - 1]]
+            return table[: i - 1] + (tuple(site),) + table[i:]
+
+        monkeypatch.setattr(suites, "bond_table", shifted)
+
+    return patch
+
+
 @pytest.mark.parametrize(
-    "name, row_of, row_line, contraction_line",
+    "patch, lines",
     [
         (
-            "gamma_row_spin_s",
-            lambda n, twice_s, k, i, j: (n, twice_s, k, i, j) == (3, 2, 3, 2, 1),
-            "spin-s row n=3 2s=2 k=3 i=2 l=1: sum",
-            "spin-s contraction n=3 2s=2 k=3 digits=",
+            _scale_row("gamma_row_spin_s", lambda n, twice_s, k, i, j: (n, twice_s, k, i, j) == (3, 2, 3, 2, 1)),
+            ["spin-s row n=3 2s=2 k=3 i=2 l=1: sum", "spin-s contraction n=3 2s=2 k=3 digits="],
         ),
         (
-            "gamma_row_sud",
-            lambda n, kvec, i, a: (n, tuple(kvec), i, tuple(a)) == (4, (2, 1, 1), 3, (1, 1, 0)),
-            "sud row n=4 kvec=(2, 1, 1) i=3 a=(1, 1, 0): sum",
-            "sud contraction n=4 kvec=(2, 1, 1) digits=",
+            _scale_row("gamma_row_sud", lambda n, kvec, i, a: (n, tuple(kvec), i, tuple(a)) == (4, (2, 1, 1), 3, (1, 1, 0))),
+            ["sud row n=4 kvec=(2, 1, 1) i=3 a=(1, 1, 0): sum", "sud contraction n=4 kvec=(2, 1, 1) digits="],
+        ),
+        # the rows stay exact, so only the contraction can see the relabel: level 0 now leads to the
+        # wrong bond digit, and level 2 to a digit past site 4's, which drops its strings
+        (
+            _shift_after(DickeSpecSUD(4, (2, 1, 1)), 3, (1, 1, 0)),
+            ["sud contraction n=4 kvec=(2, 1, 1) digits=(1, 0, 2, 0)"],
         ),
     ],
-    ids=["spin-s", "sud"],
+    ids=["spin-s", "sud", "sud-relabel"],
 )
-def test_mps_criterion_catches_a_wrong_coefficient(monkeypatch, name, row_of, row_line, contraction_line):
+def test_mps_criterion_catches_a_wrong_coefficient(monkeypatch, patch, lines):
     from quditdicke import suites
 
-    exact = getattr(suites, name)
-
-    def scaled(*args):
-        return tuple(g * (1.001 if row_of(*args) else 1.0) for g in exact(*args))
-
-    monkeypatch.setattr(suites, name, scaled)
+    patch(monkeypatch)
     result = suites.criterion_mps_canonical()
     assert not result.passed
-    assert sum(line.startswith(row_line) for line in result.details) == 1
-    assert sum(line.startswith(contraction_line) for line in result.details) == 1
-    assert len(result.details) == 2
+    for line in lines:
+        assert sum(detail.startswith(line) for detail in result.details) == 1
+    assert len(result.details) == len(lines)
 
 
 @st.composite

@@ -321,6 +321,15 @@ def test_seed_from_environment(tmp_path, monkeypatch):
     assert any(note.startswith("sampled acceptance frequency") for note in report.notes)
 
 
+def test_prepare_without_shots_reports_no_seed(capsys):
+    # the report's seed is the one the draws used, and with no shot nothing is drawn
+    argv = ["prepare", "--family", "spin-s", "--n", "2", "--s", "0.5", "--k", "1", "--method", "qpe-log", "--seed", "5", "--shots", "0"]
+    assert run_cli(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["seed"] is None and report["sampled_frequency"] is None
+    assert not any(note.startswith("sampled acceptance frequency") for note in report["notes"])
+
+
 def test_sweep_is_sorted_and_reproducible(tmp_path):
     args = [
         "sweep", "--family", "spin-s", "--n", "2", "--s", "0.5", "--k", "1",

@@ -27,6 +27,7 @@ from quditdicke.reference import (
     spin_s_dicke,
     sud_dicke,
 )
+from quditdicke.sequential import build_sequential_spin_s, build_sequential_sud
 from quditdicke.sim import (
     QuditRegister,
     StateVector,
@@ -527,8 +528,9 @@ def test_report_seed_reproduces_the_sampled_frequency():
     seeded = run_postselected(circuit, oracle, shots=5000, seed=41)
     assert seeded.seed == 41
     assert run_postselected(circuit, oracle, shots=5000, seed=seeded.seed).sampled_frequency == seeded.sampled_frequency
-    # without shots nothing is drawn, and the seed is reported as given
+    # without shots nothing is drawn, so no seed is reported, whether or not one was given
     assert run_postselected(circuit, oracle).seed is None
+    assert run_postselected(circuit, oracle, seed=5).seed is None
 
 
 @pytest.mark.parametrize(
@@ -613,6 +615,10 @@ def test_shot_counts_hold_one_block_of_draws():
 # sha256 of circuit_to_json, wire ids and layer tags, recorded from the
 # per-family builders; any change to what a builder emits changes a digest
 PINNED_BUILDS = [
+    (build_sequential_spin_s, DickeSpecSpinS(3, 2, 3), "2286c1b998c78a5518eafa30b03749cc09a862bcd1a8a41579071d033c7fedc1"),
+    (build_sequential_spin_s, DickeSpecSpinS(4, 1, 2), "3e350cd9a563b0a547b455dbfc582ab9c00aeb523dfa837e9f47c8087f4fe4de"),
+    (build_sequential_sud, DickeSpecSUD(4, (2, 1, 1)), "45143d4e0807251d23bfff8e1ea95f17b506f0ff57c5a30db1e99a7868a36148"),
+    (build_sequential_sud, DickeSpecSUD(5, (2, 2, 1)), "69a870b167fce61bf1bcaa0657324b7aefd31773c630b603523e3713c7f7e5df"),
     (build_qpe_log_spin_s, DickeSpecSpinS(2, 2, 2), "1f62bf045abbe36c8c1348a8491a1e8274514b6cd4a71c5c1a641309de075033"),
     (build_qpe_log_spin_s, DickeSpecSpinS(3, 1, 1), "78afd1dca4b2980e1a0b5c11b3cfc7b1887faa534919ab8bf0ee6bff48bda888"),
     (build_hadamard_test_spin_s, DickeSpecSpinS(2, 2, 2), "820db40c5527907537c3c464859581147e45b7fa2d6ba462804b35f6b20b2056"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from quditdicke.levelsets import build_level_sets
-from quditdicke.reference import DickeSpecSpinS, DickeSpecSUD, gamma_spin_s, gamma_sud, spin_s_dicke, sud_dicke
+from quditdicke.reference import DickeSpecSpinS, DickeSpecSUD, bond_table, gamma_spin_s, gamma_sud, spin_s_dicke, sud_dicke
 from quditdicke.sequential import (
     _emitter_gates_spin_s,
     build_i_spin_s,
@@ -225,14 +225,20 @@ def _sud_register(n, d, chi):
     return QuditRegister(wires)
 
 
+def _sud_block(table, i, p):
+    """``build_i_sud`` of bond digit p at site i, from its bond-table entry."""
+    _, row, after = table[i - 1][p]
+    return build_i_sud(i, p, row, after)
+
+
 def test_emitter_sud_fires_and_resets_flag():
     n, kvec = 3, (1, 1, 1)
-    levels = build_level_sets(kvec)
+    levels, table = build_level_sets(kvec), bond_table(DickeSpecSUD(n, kvec))
     reg = _sud_register(n, 3, levels.chi)
     for i in range(1, n + 1):
         for a in levels.elements(i - 1):
             p = levels.label(i - 1, a)
-            ops = build_i_sud(n, kvec, i, a, levels)
+            ops = _sud_block(table, i, p)
             assert len(ops) == 3 * len(kvec)
             digits = tuple(p if w == "mps" else 0 for w in reg.ids)
             final = apply_ops(new_basis_state(reg, digits), ops)
@@ -252,12 +258,12 @@ def test_emitter_sud_fires_and_resets_flag():
 
 def test_emitter_sud_identity_on_higher_labels():
     n, kvec = 4, (2, 1, 1)
-    levels = build_level_sets(kvec)
+    levels, table = build_level_sets(kvec), bond_table(DickeSpecSUD(n, kvec))
     reg = _sud_register(n, 3, levels.chi)
     for i in range(1, n + 1):
         for a in levels.elements(i - 1):
             p = levels.label(i - 1, a)
-            ops = build_i_sud(n, kvec, i, a, levels)
+            ops = _sud_block(table, i, p)
             for j in range(p + 1, levels.cardinality(i - 1)):
                 digits = tuple(j if w == "mps" else 0 for w in reg.ids)
                 final = apply_ops(new_basis_state(reg, digits), ops)
@@ -266,17 +272,17 @@ def test_emitter_sud_identity_on_higher_labels():
 
 def test_emitter_sud_noninterference_sequencing():
     n, kvec = 3, (1, 1, 1)
-    levels = build_level_sets(kvec)
+    levels, table = build_level_sets(kvec), bond_table(DickeSpecSUD(n, kvec))
     reg = _sud_register(n, 3, levels.chi)
     for i in range(1, n + 1):
         for a in levels.elements(i - 1):
             p = levels.label(i - 1, a)
             digits = tuple(p if w == "mps" else 0 for w in reg.ids)
-            fired = apply_ops(new_basis_state(reg, digits), build_i_sud(n, kvec, i, a, levels))
+            fired = apply_ops(new_basis_state(reg, digits), _sud_block(table, i, p))
             for b in levels.elements(i - 1):
                 if levels.label(i - 1, b) <= p:
                     continue
-                after = apply_ops(fired, build_i_sud(n, kvec, i, b, levels))
+                after = apply_ops(fired, _sud_block(table, i, levels.label(i - 1, b)))
                 assert np.allclose(after.amplitudes, fired.amplitudes, atol=1e-12)
 
 
