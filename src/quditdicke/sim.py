@@ -15,10 +15,27 @@ place; a view that fits is one product.  The PhaseK table of non-unit
 phases and the Hd/HdDag Fourier matrix come from bounded private
 ``lru_cache`` memos, keyed by (num, den, offset, level, target dims) and
 by (d, sign), and are read-only; ``gate_matrix`` still returns a fresh
-array.  One placement helper, ``_place``, looks up an op's wires on a
+array.
+
+Factory ops are shared immutable values: ``xd``, ``xd_dag``, ``xswap``,
+``sum_``, ``sum_dag``, ``hd``, ``hd_dag`` and ``phase_k`` return one
+already-checked ``GateOp`` per distinct (kind, targets, params,
+controls, layer tag) from one bounded private ``lru_cache`` memo,
+``_shared_op``, so the emission blocks that a sequential circuit repeats
+per bond label hold one object per distinct gate.  ``rot`` (its angles
+are mostly distinct) and ``dense_unitary`` (its parameter is an array)
+build a new op on every call.  An op stores its wire tuple, targets then
+control wires, once when it is built.  Integer fields (control values,
+Rot m, Xswap levels, PhaseK num, den, offset and level, accept and
+initial digits, register dimensions) take any integral value, such as
+np.int64(2) or 1.0, as an int; a fractional part raises ValueError when
+the object is built, the factories' cache key included.
+
+One placement helper, ``_place``, looks up an op's wires on a
 register once: it gives target positions, control positions and target
 dims, and rejects an op that does not fit.  It serves both the
-construction checks of ``Circuit`` and ``apply_gate``.  ``apply_gate``
+construction checks of ``Circuit``, run once per distinct op object of a
+circuit against its own register, and ``apply_gate``.  ``apply_gate``
 runs the kernel on a copy of the input, or on the input itself when
 ``in_place`` is set, which only ``Circuit.run`` does, on the groups it
 made.  Results are deterministic for a fixed input.
@@ -31,12 +48,15 @@ with num 0 or a Rot with theta 0 (the zero-phase placeholders that keep
 a multilevel emission block at 3d gates, and the rotations of vanishing
 coefficients), is left out of the run: it neither runs nor joins groups,
 while ``Circuit.ops`` and every gate count and depth still include it.
-Before an op acts, the distinct groups of its wires are merged into one
-new array by broadcast multiplies, and ``apply_gate`` acts in place on
-the merged group alone.  A wire that no op has yet joined to
-the others costs d amplitudes, so the one-wire preparation cascades that
-open the probabilistic circuits, and the sites of a sequential circuit
-before the bond ancilla reaches them, never touch the full register.
+When an op's wires span more than one group, those groups are merged into
+one new array by broadcast multiplies before it acts, and ``apply_gate``
+acts in place on that group alone.  The one-wire, merged and fixed groups
+get their registers from ``QuditRegister._of_checked``, which skips the
+checks that their wires passed in the circuit's register.  A wire that
+no op has yet joined to the others costs d amplitudes, so the one-wire
+preparation cascades that open the probabilistic circuits, and the sites
+of a sequential circuit before the bond ancilla reaches them, never
+touch the full register.
 The same product joins the last groups into the full register state that
 ``run`` returns, with no transpose.
 
@@ -115,7 +135,7 @@ class QuditRegister:
     """Ordered list of uniquely named wires with per-wire dimensions >= 2."""
 
     def __init__(self, wires: Iterable[tuple]):
-        pairs = tuple((wire, int(dim)) for wire, dim in wires)
+        pairs = tuple((wire, _integral(dim, f"dimension of wire {wire!r}")) for wire, dim in wires)
         if not pairs:
             raise ValueError("register needs at least one wire")
         ids = tuple(w for w, _ in pairs)
@@ -124,10 +144,20 @@ class QuditRegister:
         for wire, dim in pairs:
             if dim < 2:
                 raise ValueError(f"wire {wire!r} has dimension {dim}, but all dimensions must be >= 2")
+        self._fill(ids, tuple(d for _, d in pairs))
+
+    def _fill(self, ids: tuple, dims: tuple) -> "QuditRegister":
         self.ids = ids
-        self.dims = tuple(d for _, d in pairs)
+        self.dims = dims
         self._pos = {w: p for p, w in enumerate(ids)}
-        self.size = math.prod(self.dims)
+        self.size = math.prod(dims)
+        return self
+
+    @classmethod
+    def _of_checked(cls, ids: tuple, dims: tuple) -> "QuditRegister":
+        """Register over wires of an already-checked register (the one-wire, merged and fixed groups of
+        ``Circuit.run``), so the checks of ``__init__`` do not run again."""
+        return cls.__new__(cls)._fill(ids, dims)
 
     @classmethod
     def of_dims(cls, dims: Sequence[int]) -> "QuditRegister":
@@ -166,11 +196,26 @@ class QuditRegister:
         return f"QuditRegister({inner})"
 
 
+def _integral(value, what: str) -> int:
+    """``value`` as an int.  An integral value of any type, such as np.int64(2) or 1.0, passes; any
+    other, a fractional part included, raises ValueError instead of being truncated."""
+    if type(value) is int:
+        return value
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return number
+
+
 def _flat_index(digits: Sequence[int], dims: Sequence[int]) -> int:
     """Mixed-radix index of ``digits``, the first digit least significant."""
     index = 0
     stride = 1
     for digit, dim in zip(digits, dims):
+        digit = _integral(digit, "digit")
         if not 0 <= digit < dim:
             raise ValueError(f"digit {digit} out of range for dimension {dim}")
         index += digit * stride
@@ -210,6 +255,24 @@ def new_basis_state(register: QuditRegister, digits: Sequence[int]) -> StateVect
 
 
 _NO_PARAMS = MappingProxyType({})
+# integer parameters of each gate kind; PhaseK's level may also be None
+_INTEGER_PARAMS = {"Xswap": ("i", "j"), "Rot": ("m",), "PhaseK": ("num", "den", "offset", "level")}
+
+
+def _integer_params(kind: str, params: dict) -> dict:
+    """``params`` with each integer parameter of ``kind`` given as an int (``_integral``)."""
+    for name in _INTEGER_PARAMS.get(kind, ()):
+        value = params[name]
+        if type(value) is not int and (value is not None or name != "level"):
+            params[name] = _integral(value, f"{kind} {name}")
+    return params
+
+
+def _control_pairs(controls) -> tuple:
+    """Controls as a tuple of (wire, int value) pairs (``_integral``)."""
+    if not controls:
+        return ()
+    return tuple([(wire, _integral(value, "control value")) for wire, value in controls])
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -221,10 +284,14 @@ class GateOp:
     supported.  ``layer_tag`` groups ops that count as a single layer for
     depth accounting (e.g. one logical fan-out emitted as two-wire sums);
     it does not affect the unitary.  An op checks on construction all that
-    needs no register; placing it on a register checks only the fit.  An op
-    is immutable: ``params`` is a read-only mapping over a copy of the
-    given one, and a DenseUnitary matrix is a read-only complex array, so
-    no parameter can change after the checks.
+    needs no register, an integer field with a fractional part included;
+    placing it on a register checks only the fit, which ``Circuit`` does
+    once per distinct op object.  An op is immutable: ``params`` is a
+    read-only mapping over a copy of the given one, and a DenseUnitary
+    matrix is a read-only complex array, so no parameter can change after
+    the checks.  So the factories other than ``rot`` and ``dense_unitary``
+    hand out one shared op per distinct value, and the wire tuple, targets
+    then control wires, is stored once when the op is built.
     """
 
     kind: str
@@ -237,9 +304,7 @@ class GateOp:
         if kind not in _SIGNATURES:
             raise ValueError(f"unknown gate kind {kind!r}")
         targets = tuple(targets)
-        controls = tuple(controls)
-        if controls:
-            controls = tuple([(w, int(v)) for w, v in controls])
+        controls = _control_pairs(controls)
         params = dict(params)
         if kind == "DenseUnitary" and "matrix" in params:
             matrix = np.array(params["matrix"], dtype=np.complex128)
@@ -249,8 +314,8 @@ class GateOp:
             raise ValueError("at most two controls are supported")
         if len(targets) > 1 and len(set(targets)) != len(targets):
             raise ValueError("duplicate target wires")
+        control_wires = tuple([w for w, _ in controls])
         if controls:
-            control_wires = [w for w, _ in controls]
             if len(set(control_wires)) != len(control_wires):
                 raise ValueError("duplicate control wires")
             overlap = set(targets) & set(control_wires)
@@ -263,6 +328,7 @@ class GateOp:
             missing = [name for name in names if name not in params]
             if missing:
                 raise ValueError(f"{kind} is missing parameter(s) {', '.join(sorted(missing))}")
+        _integer_params(kind, params)
         if kind == "Xswap" and (params["i"] == params["j"] or min(params["i"], params["j"]) < 0):
             raise ValueError(f"Xswap levels ({params['i']},{params['j']}) must be distinct and nonnegative")
         if kind == "PhaseK" and params["den"] <= 0:
@@ -279,15 +345,15 @@ class GateOp:
         fields["params"] = MappingProxyType(params)
         fields["controls"] = controls
         fields["layer_tag"] = layer_tag
+        fields["_wires"] = targets + control_wires
 
     def __reduce__(self):
         # unpickling rebuilds the op through __init__, so it passes every check again
         return type(self), (self.kind, self.targets, dict(self.params), self.controls, self.layer_tag)
 
     def wires(self) -> tuple:
-        if not self.controls:
-            return self.targets
-        return self.targets + tuple(w for w, _ in self.controls)
+        """Target wires, then control wires."""
+        return self._wires
 
     def inverse(self) -> "GateOp":
         """Op implementing the inverse unitary (same targets/controls)."""
@@ -307,41 +373,52 @@ class GateOp:
         return GateOp("DenseUnitary", self.targets, {"matrix": self.params["matrix"].conj().T}, self.controls)
 
 
+@functools.lru_cache(maxsize=2048)
+def _shared_op(kind: str, targets: tuple, params: tuple, controls: tuple, layer_tag) -> GateOp:
+    """The one shared op of a normalized (kind, targets, param items, control pairs, layer tag).
+
+    An op that fails its checks raises and is not cached, so it raises again on every call.
+    """
+    return GateOp(kind, targets, dict(params), controls, layer_tag)
+
+
 def xd(wire, controls=(), layer_tag=None) -> GateOp:
     """Cyclic raise |x> -> |x+1 mod d|."""
-    return GateOp("Xd", (wire,), controls=controls, layer_tag=layer_tag)
+    return _shared_op("Xd", (wire,), (), _control_pairs(controls), layer_tag)
 
 
 def xd_dag(wire, controls=(), layer_tag=None) -> GateOp:
-    return GateOp("XdDag", (wire,), controls=controls, layer_tag=layer_tag)
+    return _shared_op("XdDag", (wire,), (), _control_pairs(controls), layer_tag)
 
 
 def xswap(wire, i: int, j: int, controls=(), layer_tag=None) -> GateOp:
     """Transposition of levels i and j on one wire."""
-    return GateOp("Xswap", (wire,), {"i": int(i), "j": int(j)}, controls, layer_tag)
+    params = _integer_params("Xswap", {"i": i, "j": j})
+    return _shared_op("Xswap", (wire,), tuple(params.items()), _control_pairs(controls), layer_tag)
 
 
 def sum_(dest, src, controls=(), layer_tag=None) -> GateOp:
     """|y>|x> -> |y+x mod dim(dest)>|x>; the source wire is unchanged."""
-    return GateOp("Sum", (dest, src), controls=controls, layer_tag=layer_tag)
+    return _shared_op("Sum", (dest, src), (), _control_pairs(controls), layer_tag)
 
 
 def sum_dag(dest, src, controls=(), layer_tag=None) -> GateOp:
-    return GateOp("SumDag", (dest, src), controls=controls, layer_tag=layer_tag)
+    return _shared_op("SumDag", (dest, src), (), _control_pairs(controls), layer_tag)
 
 
 def hd(wire, controls=(), layer_tag=None) -> GateOp:
     """Fourier gate |x> -> d^{-1/2} sum_y exp(2*pi*i*x*y/d)|y>."""
-    return GateOp("Hd", (wire,), controls=controls, layer_tag=layer_tag)
+    return _shared_op("Hd", (wire,), (), _control_pairs(controls), layer_tag)
 
 
 def hd_dag(wire, controls=(), layer_tag=None) -> GateOp:
-    return GateOp("HdDag", (wire,), controls=controls, layer_tag=layer_tag)
+    return _shared_op("HdDag", (wire,), (), _control_pairs(controls), layer_tag)
 
 
 def rot(wire, m: int, theta: float, controls=(), layer_tag=None) -> GateOp:
-    """Givens rotation in the (m, m+1) plane: |m> -> cos(t/2)|m> + sin(t/2)|m+1>."""
-    return GateOp("Rot", (wire,), {"m": int(m), "theta": float(theta)}, controls, layer_tag)
+    """Givens rotation in the (m, m+1) plane: |m> -> cos(t/2)|m> + sin(t/2)|m+1>.  Not shared: its
+    angles are mostly distinct, and a shared key would have to tell -0.0 from 0.0."""
+    return GateOp("Rot", (wire,), {"m": m, "theta": float(theta)}, controls, layer_tag)
 
 
 def phase_k(targets, num: int, den: int, offset: int = 0, level: int | None = None, controls=(), layer_tag=None) -> GateOp:
@@ -352,12 +429,13 @@ def phase_k(targets, num: int, den: int, offset: int = 0, level: int | None = No
     additionally multiplied by the first wire's digit x.
     """
     targets = tuple(targets) if isinstance(targets, (tuple, list)) else (targets,)
-    params = {"num": int(num), "den": int(den), "offset": int(offset), "level": None if level is None else int(level)}
-    return GateOp("PhaseK", targets, params, controls, layer_tag)
+    params = _integer_params("PhaseK", {"num": num, "den": den, "offset": offset, "level": level})
+    return _shared_op("PhaseK", targets, tuple(params.items()), _control_pairs(controls), layer_tag)
 
 
 def dense_unitary(targets, matrix, controls=(), layer_tag=None) -> GateOp:
-    """Explicit unitary block over the target wires; GateOp checks unitarity."""
+    """Explicit unitary block over the target wires; GateOp checks unitarity.  Not shared: its matrix
+    is an array."""
     targets = tuple(targets) if isinstance(targets, (tuple, list)) else (targets,)
     return GateOp("DenseUnitary", targets, {"matrix": matrix}, controls, layer_tag)
 
@@ -746,12 +824,12 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
-        for op in self.ops:
+        for op in dict.fromkeys(self.ops):  # an op shared by several positions fits once
             _place(op, self.register)
         if self.accept_rule is not None:
             wires, digits = self.accept_rule
             wires = tuple(wires)
-            digits = tuple(int(v) for v in digits)
+            digits = tuple(_integral(v, "accept digit") for v in digits)
             if len(wires) != len(digits):
                 raise ValueError("accept_rule wires and digits differ in length")
             if len(set(wires)) != len(wires):
@@ -785,6 +863,7 @@ class Circuit:
         reg = self.register
         if initial_digits is None:
             initial_digits = (0,) * len(reg)
+        initial_digits = tuple([_integral(v, "initial digit") for v in initial_digits])
         reg.flat_index(initial_digits)  # rejects a wrong digit count or a digit out of range
         ops = [op for op in self.ops if _acts(op)]
         pending: dict = {}  # accept wires no acting op touches: fixed before the first op
@@ -798,20 +877,25 @@ class Circuit:
             for index in range(len(ops) - 1, -1, -1):  # one reverse scan meets each wire's last acting op first
                 if not pending:
                     break
-                for wire in ops[index].wires():
+                for wire in ops[index]._wires:
                     if wire in pending:
                         fixed_after.setdefault(index, {})[wire] = pending.pop(wire)
-        group_of = {
-            wire: new_basis_state(QuditRegister(((wire, dim),)), (digit,))
-            for wire, dim, digit in zip(reg.ids, reg.dims, initial_digits)
-        }
+        group_of = {}
+        for wire, dim, digit in zip(reg.ids, reg.dims, initial_digits):
+            amplitudes = np.zeros(dim, dtype=np.complex128)
+            amplitudes[digit] = 1.0
+            group_of[wire] = StateVector(QuditRegister._of_checked((wire,), (dim,)), amplitudes)
         weight = 1.0  # product of the amplitudes of groups whose every wire is fixed
         for wire, digit in pending.items():  # each still in its one-wire group
             weight *= _fix(group_of.pop(wire), {wire: digit})
         for index, op in enumerate(ops):
-            group = _product(list(dict.fromkeys([group_of[w] for w in op.wires()])), reg)
-            if group is not group_of[op.targets[0]]:  # merged: map its wires now, which frees the parts
-                group_of.update(dict.fromkeys(group.register.ids, group))
+            wires = op._wires
+            group = group_of[wires[0]]
+            for wire in wires[1:]:
+                if group_of[wire] is not group:  # the wires span groups: merge and map them now, which frees the parts
+                    group = _product(list(dict.fromkeys([group_of[w] for w in wires])), reg)
+                    group_of.update(dict.fromkeys(group.register.ids, group))
+                    break
             apply_gate(group, op, in_place=True)
             fixed = fixed_after.get(index)
             if fixed:  # the op's wires share its group: slice it once, and rebind so it does not outlive the slice
@@ -843,7 +927,9 @@ def _fix(state: StateVector, digits: dict):
     block = state.tensor()[tuple(digits.get(w, slice(None)) for w in ids)]
     if block.ndim == 0:
         return block[()]
-    return StateVector(QuditRegister([(w, d) for w, d in zip(ids, dims) if w not in digits]), block.flatten(order="F"))
+    kept = [p for p, w in enumerate(ids) if w not in digits]
+    register = QuditRegister._of_checked(tuple([ids[p] for p in kept]), tuple([dims[p] for p in kept]))
+    return StateVector(register, block.flatten(order="F"))
 
 
 def _product(states: list[StateVector], register: QuditRegister) -> StateVector:
@@ -856,9 +942,10 @@ def _product(states: list[StateVector], register: QuditRegister) -> StateVector:
         return states[0]
     held = {w for s in states for w in s.register.ids}
     wires = [(w, d) for w, d in zip(register.ids, register.dims) if w in held]
-    factors = [s.amplitudes.reshape([d if w in s.register.ids else 1 for w, d in wires], order="F") for s in states]
+    factors = [s.amplitudes.reshape([d if w in s.register._pos else 1 for w, d in wires], order="F") for s in states]
     out = np.empty([d for _, d in wires], dtype=np.complex128, order="F")
     np.multiply(factors[0], factors[1], out=out)
     for factor in factors[2:]:
         out *= factor
-    return StateVector(QuditRegister(wires), out.reshape(-1, order="F"))
+    merged = QuditRegister._of_checked(tuple([w for w, _ in wires]), tuple([d for _, d in wires]))
+    return StateVector(merged, out.reshape(-1, order="F"))

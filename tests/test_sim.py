@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from quditdicke.qpe import BUILDERS
 from quditdicke.reference import DickeSpecSpinS, DickeSpecSUD
 from quditdicke.sequential import build_sequential_spin_s, build_sequential_sud
-from quditdicke.serialize import circuit_from_json, circuit_to_json, dump_amplitudes_csv
+from quditdicke.serialize import circuit_from_dict, circuit_from_json, circuit_to_json, dump_amplitudes_csv
 from quditdicke.sim import (
     GATE_KINDS,
     Circuit,
@@ -1077,11 +1077,188 @@ def test_gate_op_pickles_every_kind():
 
 
 def test_unpickled_gate_op_passes_its_checks_again():
-    op = phase_k(0, 1, 3)
+    # a fresh op, not phase_k(0, 1, 3): the factory op is shared, and this write would reach every holder
+    op = GateOp("PhaseK", (0,), {"num": 1, "den": 3, "offset": 0, "level": None})
     op.__dict__["params"] = MappingProxyType(dict(op.params, den=0))  # bypasses the frozen fields
     data = pickle.dumps(op)
     with pytest.raises(ValueError, match="denominator must be positive"):
         pickle.loads(data)
+
+
+# the eight sharing factories by kind, with their target count and integer parameters
+_SHARED_FACTORIES = {
+    "Xd": (xd, (1,), ()),
+    "XdDag": (xd_dag, (1,), ()),
+    "Xswap": (xswap, (1,), ("i", "j")),
+    "Sum": (sum_, (2,), ()),
+    "SumDag": (sum_dag, (2,), ()),
+    "Hd": (hd, (1,), ()),
+    "HdDag": (hd_dag, (1,), ()),
+    "PhaseK": (phase_k, (1, 2), ("num", "den", "offset", "level")),
+}
+_SHARED_WIRES = ("a", "b", "c", 0, 1)
+_SHARED_VALUES = {"i": st.integers(-1, 3), "j": st.integers(0, 3), "num": st.integers(-2, 2), "den": st.integers(-1, 4),
+                  "offset": st.integers(-1, 1), "level": st.none() | st.integers(0, 2)}
+
+
+@st.composite
+def shared_op_specs(draw, kind=None):
+    """(kind, targets, params, controls, layer tag) in normal form: ints and tuples.  Wires may repeat, so
+    some specs are invalid."""
+    kind = kind or draw(st.sampled_from(sorted(_SHARED_FACTORIES)))
+    _, counts, names = _SHARED_FACTORIES[kind]
+    targets = tuple(draw(st.lists(st.sampled_from(_SHARED_WIRES), min_size=counts[0], max_size=counts[-1])))
+    params = {name: draw(_SHARED_VALUES[name]) for name in names}
+    controls = tuple(draw(st.lists(st.tuples(st.sampled_from(_SHARED_WIRES), st.integers(0, 2)), max_size=3)))
+    return kind, targets, params, controls, draw(st.sampled_from([None, "x", "y"]))
+
+
+def _vary(draw, spec):
+    """``spec`` with one field changed: the kind, a target, a parameter, a control wire or value, or the tag."""
+    kind, targets, params, controls, tag = spec
+    fields = ["kind", "target", "tag"] + ["param"] * bool(params) + ["control"] * bool(controls)
+    field = draw(st.sampled_from(fields))
+    if field == "kind":
+        kind = draw(st.sampled_from([k for k, (_, counts, _) in _SHARED_FACTORIES.items() if len(targets) in counts and k != kind]))
+        params = {name: params[name] if name in params else draw(_SHARED_VALUES[name]) for name in _SHARED_FACTORIES[kind][2]}
+    elif field == "target":
+        at = draw(st.integers(0, len(targets) - 1))
+        targets = targets[:at] + (draw(st.sampled_from(_SHARED_WIRES)),) + targets[at + 1 :]
+    elif field == "param":
+        name = draw(st.sampled_from(sorted(params)))
+        params = dict(params, **{name: draw(_SHARED_VALUES[name])})
+    elif field == "control":
+        at = draw(st.integers(0, len(controls) - 1))
+        wire, value = controls[at]
+        changed = (draw(st.sampled_from(_SHARED_WIRES)), value) if draw(st.booleans()) else (wire, draw(st.integers(0, 2)))
+        controls = controls[:at] + (changed,) + controls[at + 1 :]
+    else:
+        tag = draw(st.sampled_from([None, "x", "y"]))
+    return kind, targets, params, controls, tag
+
+
+def _make_shared(spec, form: int):
+    """The factory op of ``spec``, its numbers given as int, np.int64 or integral float and its sequences as
+    tuples or lists by ``form``: every form normalizes to the same value."""
+    kind, targets, params, controls, tag = spec
+    cast = (int, np.int64, float)[form % 3]
+    controls = [[w, cast(v)] for w, v in controls] if form & 1 else tuple((w, cast(v)) for w, v in controls)
+    params = {name: None if value is None else cast(value) for name, value in params.items()}
+    factory = _SHARED_FACTORIES[kind][0]
+    if kind == "PhaseK":
+        targets = targets[0] if len(targets) == 1 and form & 2 else (list(targets) if form & 4 else targets)
+        return factory(targets, controls=controls, layer_tag=tag, **params)
+    if kind == "Xswap":
+        return factory(targets[0], params["i"], params["j"], controls, tag)
+    return factory(*targets, controls=controls, layer_tag=tag)
+
+
+def _op_value(op):
+    return op.kind, op.targets, tuple(op.params.items()), op.controls, op.layer_tag
+
+
+@settings(deadline=None, max_examples=400)
+@given(shared_op_specs(), st.data())
+def test_factories_share_one_op_per_value(spec, data):
+    form, other_form = data.draw(st.integers(0, 11)), data.draw(st.integers(0, 11))
+    try:
+        fresh = GateOp(*spec)
+    except ValueError as exc:  # an invalid argument raises the same error on every call, in every form
+        for attempt in (form, other_form, form):
+            with pytest.raises(ValueError) as info:
+                _make_shared(spec, attempt)
+            assert str(info.value) == str(exc)
+        return
+    op = _make_shared(spec, form)
+    assert _make_shared(spec, other_form) is op
+    assert _op_value(op) == _op_value(fresh) and op.wires() == fresh.wires()
+    other = _vary(data.draw, spec)
+    try:
+        fresh_other = GateOp(*other)
+    except ValueError:
+        return
+    made = _make_shared(other, other_form)
+    assert (made is op) == (other == spec)
+    assert _op_value(made) == _op_value(fresh_other) and made.wires() == fresh_other.wires()
+
+
+def test_criterion_2_circuits_hold_one_object_per_equal_op():
+    from quditdicke.suites import sud_grid
+
+    for wire in range(4096):  # whatever the cache held before: here it holds only ops of other wires
+        xd(("filler", wire))
+    circuits = [build_sequential_sud(spec) for spec in sud_grid(4, 5)]
+    assert len(circuits) == 200
+    first: dict = {}  # holds every op it maps, so no object is freed and an equal one rebuilt unseen
+    for circuit in circuits:
+        for op in circuit.ops:
+            if op.kind not in ("Rot", "DenseUnitary"):
+                assert first.setdefault(_op_value(op), op) is op, op
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: xd("s3"), "wire 's3' not in register"),
+        (lambda: xd("s1", controls=(("s2", 2),)), "control value 2 out of range for wire 's2'"),
+        (lambda: xswap("s1", 0, 2), "Xswap levels (0,2) must be below dimension 2"),
+    ],
+    ids=["wire-not-in-register", "control-value", "xswap-level"],
+)
+def test_shared_op_is_fit_checked_on_each_circuit_register(make, message):
+    op = make()
+    assert Circuit(QuditRegister([("s1", 3), ("s2", 3), ("s3", 3)]), [op]).ops == (op,)
+    assert make() is op
+    with pytest.raises(ValueError) as info:
+        Circuit(QuditRegister([("s1", 2), ("s2", 2)]), [op])
+    assert str(info.value) == message
+
+
+def _from_dict(register=(3, 3), ops=(), accept_rule=None):
+    return circuit_from_dict({"register": list(register), "ops": list(ops), "accept_rule": accept_rule})
+
+
+@pytest.mark.parametrize(
+    "make, what",
+    [
+        (lambda: _from_dict(ops=[{"kind": "Xd", "targets": [0], "controls": [[1, 0.5]]}]), "control value"),
+        (lambda: xd(0, controls=((1, 0.5),)), "control value"),
+        (lambda: _from_dict(ops=[{"kind": "Rot", "params": {"m": 1.7, "theta": 0.5}, "targets": [0]}]), "Rot m"),
+        (lambda: rot(0, 0.5, 0.3), "Rot m"),
+        (lambda: _from_dict(ops=[{"kind": "Xswap", "params": {"i": 0.5, "j": 2}, "targets": [0]}]), "Xswap i"),
+        (lambda: xswap(0, 0, 1.5), "Xswap j"),
+        (lambda: phase_k(0, 0.5, 3), "PhaseK num"),
+        (lambda: phase_k(0, 1, 2.5), "PhaseK den"),
+        (lambda: phase_k(0, 1, 3, offset=0.5), "PhaseK offset"),
+        (lambda: _from_dict(ops=[{"kind": "PhaseK", "params": {"num": 1, "den": 3, "offset": 0, "level": 0.5}, "targets": [0]}]), "PhaseK level"),
+        (lambda: _from_dict(accept_rule={"wires": [1], "digits": [0.9]}), "accept digit"),
+        (lambda: Circuit(QuditRegister.of_dims([3, 3]), []).run(initial_digits=(0.5, 0)), "initial digit"),
+        (lambda: _from_dict(register=(3.7, 2)), "dimension of wire 0"),
+    ],
+    ids=[
+        "control-value-loaded", "control-value-factory", "rot-m-loaded", "rot-m-factory", "xswap-i-loaded",
+        "xswap-j-factory", "phasek-num", "phasek-den", "phasek-offset", "phasek-level-loaded", "accept-digit",
+        "initial-digit", "register-dimension",
+    ],
+)
+def test_integer_field_with_a_fractional_part_is_rejected_when_built(make, what):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value).startswith(f"{what} must be an integer, got ")
+
+
+def test_integral_values_of_other_types_are_accepted_as_ints():
+    assert xswap(0, np.int64(0), 2.0) is xswap(0, 0, 2)
+    assert phase_k(0, 1.0, np.int64(3), level=np.int64(1)) is phase_k(0, 1, 3, level=1)
+    assert xd(0, controls=((1, 1.0),)).controls == ((1, 1),)
+    loaded = _from_dict(
+        register=(np.int64(3), 2.0),
+        ops=[{"kind": "Rot", "params": {"m": 1.0, "theta": 0.5}, "targets": [0], "controls": [[1, np.int64(1)]]}],
+        accept_rule={"wires": [1], "digits": [1.0]},
+    )
+    assert loaded.register.dims == (3, 2) and type(loaded.ops[0].params["m"]) is int
+    assert loaded.accept_rule == ((1,), (1,))
+    assert loaded.run(initial_digits=(0.0, np.int64(1))).amplitudes.tobytes() == loaded.run(initial_digits=(0, 1)).amplitudes.tobytes()
 
 
 @pytest.mark.parametrize("family", ["spin-s", "sud"])
