@@ -35,6 +35,7 @@ from .sim import (
     StateVector,
     _count_outcome,
     _fourier,
+    _integral,
     dense_unitary,
     hd,
     hd_dag,
@@ -294,18 +295,21 @@ def run_postselected(circuit: Circuit, oracle_state: StateVector, shots: int = 0
     and is also noted; it counts the shots that ``choice`` on the marginal
     would give the accept digits (``sim._count_outcome``), so reruns with
     the report's seed are bit-identical.  The report's ``wallclock_ms``
-    covers the draw.  Negative ``shots`` raise ValueError.
+    covers the draw.  Negative ``shots``, and a ``shots`` or ``seed`` with a
+    fractional part (``sim._integral``), raise ValueError.
     """
+    shots = _integral(shots, "shots")
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
+    seed = 0 if seed is None else _integral(seed, "seed")
     start = time.perf_counter()
     report = verify_circuit(circuit, oracle_state)
     if report.expected_repetitions == math.inf:
         report.notes.append("acceptance has probability 0: reported as failure")
     if shots:
-        report.seed = 0 if seed is None else int(seed)
+        report.seed = seed
         wires, digits = circuit.accept_rule
-        hits = _count_outcome(circuit.run(), wires, outcome_index(circuit.register, wires, digits), report.seed, int(shots))
+        hits = _count_outcome(circuit.run(), wires, outcome_index(circuit.register, wires, digits), seed, shots)
         report.sampled_frequency = float(hits) / float(shots)
         report.notes.append(f"sampled acceptance frequency {report.sampled_frequency!r} over {shots} shots")
         report.wallclock_ms = int(round((time.perf_counter() - start) * 1000))

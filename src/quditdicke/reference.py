@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levelsets import build_level_sets
-from .sim import QuditRegister, StateVector
+from .sim import QuditRegister, StateVector, _integral
 
 
 def binomial(a: int, b: int) -> int:
@@ -42,7 +42,7 @@ def binomial(a: int, b: int) -> int:
 
 def multinomial(n: int, kvec) -> int:
     """n! / prod(k_i!) for nonnegative k_i summing to n."""
-    kvec = tuple(int(k) for k in kvec)
+    kvec = tuple([_integral(k, "occupation") for k in kvec])
     if any(k < 0 for k in kvec):
         raise ValueError("occupation numbers must be nonnegative")
     if sum(kvec) != n:
@@ -64,6 +64,8 @@ class DickeSpecSpinS:
     k: int
 
     def __post_init__(self):
+        for name, what in (("n", "site count n"), ("twice_s", "twice_s"), ("k", "charge k")):
+            object.__setattr__(self, name, _integral(getattr(self, name), what))
         if self.n < 1:
             raise ValueError("site count n must be >= 1")
         if self.twice_s < 1:
@@ -92,7 +94,8 @@ class DickeSpecSUD:
     kvec: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "kvec", tuple(int(k) for k in self.kvec))
+        object.__setattr__(self, "n", _integral(self.n, "site count n"))
+        object.__setattr__(self, "kvec", tuple([_integral(k, "occupation") for k in self.kvec]))
         if self.n < 1:
             raise ValueError("site count n must be >= 1")
         if len(self.kvec) < 2:
@@ -287,7 +290,7 @@ def probability_sud(n: int, kvec) -> ProbabilityReport:
 
     Exact value (n!/n^n) prod_i k_i^{k_i}/k_i! with 0^0 = 1, in log space.
     """
-    kvec = tuple(int(v) for v in kvec)
+    kvec = tuple([_integral(v, "occupation") for v in kvec])
     if any(v < 0 for v in kvec) or sum(kvec) != n:
         raise ValueError(f"occupations {kvec} do not sum to n={n}")
     xi = tuple(math.sqrt(v / n) for v in kvec)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sim import ATOL_PROBABILITY, Circuit, StateVector, accepted_branch
+from .sim import ATOL_PROBABILITY, Circuit, StateVector, _fix, _pin, _pins, accepted_branch
 
 def logical_depth(circuit: Circuit) -> int:
     tagged: dict[str, set] = {}
@@ -76,8 +76,7 @@ def embedded_reference(circuit: Circuit, oracle: StateVector, fixed: dict) -> St
     if reg.dims[:n] != oracle.register.dims:
         raise ValueError("oracle register does not match the circuit's system wires")
     out = np.zeros(reg.size, dtype=np.complex128)
-    sel = (slice(None),) * n + tuple(int(fixed.get(w, 0)) for w in reg.ids[n:])
-    out.reshape(reg.dims, order="F")[sel] = oracle.amplitudes.reshape(oracle.register.dims, order="F")
+    _pin(out, reg, _pins(reg, reg.ids[n:], [fixed.get(w, 0) for w in reg.ids[n:]], "fixed"))[...] = oracle.tensor()
     return StateVector(reg, out)
 
 
@@ -188,9 +187,9 @@ def verify_circuit(circuit: Circuit, oracle_state: StateVector) -> RunReport:
         raise ValueError("oracle register does not match the circuit's system wires")
     branch, probability = accepted_branch(circuit)
     fixed = dict(zip(*circuit.accept_rule))
-    # the branch's axes are the unlisted wires in register order: keep the system, pin the other ancillas at 0
-    conditional = branch.tensor()[tuple(slice(None) if p < n else 0 for p, w in enumerate(reg.ids) if w not in fixed)].ravel(order="F")
-    oracle = oracle_state.tensor()[tuple(fixed.get(w, slice(None)) for w in reg.ids[:n])].ravel(order="F")
+    # keep the branch's system wires and pin its other ancillas at 0; a system accept wire pins the oracle
+    conditional = _fix(branch, dict.fromkeys(reg.ids[n:], 0)).amplitudes
+    oracle = _fix(oracle_state, {o: fixed[w] for o, w in zip(oracle_state.register.ids, reg.ids) if w in fixed}).amplitudes
     fid = float(abs(np.vdot(conditional / math.sqrt(probability), oracle)) ** 2) if probability else 0.0
     gate_count, depth, census = count_resources(circuit, n)
     return RunReport(

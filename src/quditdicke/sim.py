@@ -56,9 +56,9 @@ checks that their wires passed in the circuit's register.  A wire that
 no op has yet joined to the others costs d amplitudes, so the one-wire
 preparation cascades that open the probabilistic circuits, and the sites
 of a sequential circuit before the bond ancilla reaches them, never
-touch the full register.
-The same product joins the last groups into the full register state that
-``run`` returns, with no transpose.
+touch the full register.  The same product joins the last groups, and
+the 0-wire states of fully fixed groups, into the state that ``run``
+returns, with no transpose.
 
 ``run(postselect=True)`` keeps only the accepted branch.  By deferred
 measurement a wire that no later op touches can be measured at once, so
@@ -75,10 +75,16 @@ gives the branch and its squared norm P, the one readout of
 The readout reads the state once and allocates nothing register-sized
 except the collapsed state it returns.  ``outcome_distribution`` is one
 ``np.einsum`` that contracts the amplitudes' float64 (re, im) parts with
-themselves onto the listed wires.  ``_outcome_block`` views the block
-where the listed wires read fixed digits, with its probability from one
-``np.vdot``; ``project_on_outcome`` multiplies it by 1/sqrt(P) straight
-into the zeroed output.
+themselves onto the listed wires.  Every fixed-digit slice of a state
+is one view, ``_pin``: an F-order reshape, an int at each pinned wire and
+a trailing Ellipsis, so the other wires keep register order with no
+transpose, and pinning every wire gives a 0-d view.  One pin rule,
+``_pins``, checks the wires and digits of an accept rule and an outcome.
+``_outcome_block`` is an outcome's view with its probability from one
+``np.vdot``; ``project_on_outcome`` writes it times 1/sqrt(P) into the
+view of the zeroed output.  ``_fix`` copies a view into a state over the
+other wires, a 0-wire state when every wire is pinned.  ``report`` pins
+through the same views, so no other module reshapes amplitudes.
 ``sample_measure`` and the shot counts of ``qpe.run_postselected`` share
 one CDF, ``_cdf``, built as ``Generator.choice`` builds it from the exact
 marginal.  ``_draw_outcomes`` maps one ``default_rng(seed)`` uniform to
@@ -354,23 +360,6 @@ class GateOp:
     def wires(self) -> tuple:
         """Target wires, then control wires."""
         return self._wires
-
-    def inverse(self) -> "GateOp":
-        """Op implementing the inverse unitary (same targets/controls)."""
-        flip = {"Xd": "XdDag", "XdDag": "Xd", "Sum": "SumDag", "SumDag": "Sum", "Hd": "HdDag", "HdDag": "Hd"}
-        if self.kind in flip:
-            return GateOp(flip[self.kind], self.targets, dict(self.params), self.controls)
-        if self.kind == "Xswap":
-            return GateOp("Xswap", self.targets, dict(self.params), self.controls)
-        if self.kind == "Rot":
-            params = dict(self.params)
-            params["theta"] = -params["theta"]
-            return GateOp("Rot", self.targets, params, self.controls)
-        if self.kind == "PhaseK":
-            params = dict(self.params)
-            params["num"] = -params["num"]
-            return GateOp("PhaseK", self.targets, params, self.controls)
-        return GateOp("DenseUnitary", self.targets, {"matrix": self.params["matrix"].conj().T}, self.controls)
 
 
 @functools.lru_cache(maxsize=2048)
@@ -683,30 +672,33 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def _outcome_block(state: StateVector, wires: Sequence, digits: Sequence[int]):
-    """(select, block, probability) where ``wires`` read ``digits``: ``select`` views a register-sized
-    vector there, over the other wires in register order; ``block`` is the state's view, ``probability``
-    its squared norm."""
-    reg = state.register
-    wires = tuple(wires)
-    digits = tuple(int(v) for v in digits)
+def _pins(register: QuditRegister, wires: Sequence, digits: Sequence, what: str) -> dict:
+    """{wire: digit} of ``wires`` reading ``digits``, the one pin rule: equal lengths, no wire twice or
+    outside ``register``, each digit an integer (``_integral``) below its dimension; ``what`` names them."""
     if len(wires) != len(digits):
-        raise ValueError("wires and digits differ in length")
-    if len(set(wires)) != len(wires):
-        raise ValueError("duplicate wires in projection")
-    pos = [reg.position(w) for w in wires]
-    for w, v in zip(wires, digits):
-        if not 0 <= v < reg.dim(w):
-            raise ValueError(f"digit {v} out of range for wire {w!r}")
-    order = pos + [p for p in range(len(reg)) if p not in pos]  # measured axes first
-    index = digits + (Ellipsis,)  # a 0-d view, not a scalar, when every wire is measured
+        raise ValueError(f"{what} wires and digits differ in length")
+    pins = dict(zip(wires, [_integral(v, f"{what} digit") for v in digits]))
+    if len(pins) != len(wires):
+        raise ValueError(f"{what} rule lists a wire twice")
+    for wire, digit in pins.items():
+        if not 0 <= digit < register.dim(wire):
+            raise ValueError(f"{what} digit {digit} out of range for wire {wire!r}")
+    return pins
 
-    def select(amplitudes: np.ndarray) -> np.ndarray:
-        return amplitudes.reshape(reg.dims, order="F").transpose(order)[index]
 
-    block = select(state.amplitudes)
+def _pin(amplitudes: np.ndarray, register: QuditRegister, pins: Mapping) -> np.ndarray:
+    """View of ``amplitudes`` over ``register`` where each wire of ``pins`` reads its digit, one axis
+    per other wire in register order; a 0-d view, not a scalar, when every wire is pinned."""
+    return amplitudes.reshape(register.dims, order="F")[tuple([pins.get(w, slice(None)) for w in register.ids]) + (Ellipsis,)]
+
+
+def _outcome_block(state: StateVector, wires: Sequence, digits: Sequence[int]):
+    """(pins, block, probability) where ``wires`` read ``digits``: the ``_pins`` of the outcome, the
+    state's ``_pin`` view there and its squared norm."""
+    pins = _pins(state.register, wires, digits, "outcome")
+    block = _pin(state.amplitudes, state.register, pins)
     flat = block.ravel(order="K")  # no copy when the block is contiguous
-    return select, block, float(np.vdot(flat, flat).real)
+    return pins, block, float(np.vdot(flat, flat).real)
 
 
 def project_on_outcome(state: StateVector, wires: Sequence, digits: Sequence[int]) -> tuple[float, StateVector]:
@@ -718,11 +710,11 @@ def project_on_outcome(state: StateVector, wires: Sequence, digits: Sequence[int
     producing a NaN state.  With no wires the outcome is certain: the
     probability is the squared norm.
     """
-    select, block, probability = _outcome_block(state, wires, digits)
+    pins, block, probability = _outcome_block(state, wires, digits)
     if probability == 0.0:
-        raise ImpossibleOutcomeError(f"outcome {tuple(int(v) for v in digits)} on wires {tuple(wires)} is impossible")
+        raise ImpossibleOutcomeError(f"outcome {tuple(pins.values())} on wires {tuple(pins)} is impossible")
     cond = np.zeros(state.register.size, dtype=np.complex128)
-    np.multiply(block, 1.0 / math.sqrt(probability), out=select(cond))  # numpy's complex / real is this product
+    np.multiply(block, 1.0 / math.sqrt(probability), out=_pin(cond, state.register, pins))  # numpy's complex / real is this product
     return probability, StateVector(state.register, cond)
 
 
@@ -749,10 +741,9 @@ def outcome_distribution(state: StateVector, wires: Sequence) -> np.ndarray:
 
 
 def outcome_index(register: QuditRegister, wires: Sequence, digits: Sequence[int]) -> int:
-    """Position of ``digits`` in the outcome_distribution over ``wires``."""
-    if len(wires) != len(digits):
-        raise ValueError("digit count does not match the wires")
-    return _flat_index(digits, [register.dim(w) for w in wires])
+    """Position of ``digits`` in the outcome_distribution over ``wires``, which ``_pins`` checks."""
+    pins = _pins(register, wires, digits, "outcome")
+    return _flat_index(pins.values(), [register.dim(w) for w in pins])
 
 
 def _cdf(state: StateVector, wires: Sequence) -> np.ndarray:
@@ -799,10 +790,9 @@ def sample_measure(state: StateVector, wires: Sequence, seed: int) -> tuple[tupl
     the same as project_on_outcome on the drawn digits.
     """
     wires = tuple(wires)
-    index = _draw_outcomes(state, wires, int(seed))
+    index = _draw_outcomes(state, wires, _integral(seed, "seed"))
     digits = _digits_of(index, [state.register.dim(w) for w in wires])
-    _, collapsed = project_on_outcome(state, wires, digits)
-    return digits, collapsed
+    return digits, project_on_outcome(state, wires, digits)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -827,17 +817,8 @@ class Circuit:
         for op in dict.fromkeys(self.ops):  # an op shared by several positions fits once
             _place(op, self.register)
         if self.accept_rule is not None:
-            wires, digits = self.accept_rule
-            wires = tuple(wires)
-            digits = tuple(_integral(v, "accept digit") for v in digits)
-            if len(wires) != len(digits):
-                raise ValueError("accept_rule wires and digits differ in length")
-            if len(set(wires)) != len(wires):
-                raise ValueError("accept_rule lists a wire twice")
-            for w, v in zip(wires, digits):
-                if not 0 <= v < self.register.dim(w):
-                    raise ValueError(f"accept_rule digit {v} out of range for wire {w!r}")
-            object.__setattr__(self, "accept_rule", (wires, digits))
+            pins = _pins(self.register, *self.accept_rule, "accept")
+            object.__setattr__(self, "accept_rule", (tuple(pins), tuple(pins.values())))
 
     def run(self, initial_digits: Sequence[int] | None = None, *, postselect: bool = False) -> StateVector:
         """Simulate from |0...0> (or the given digits) through every op that acts.
@@ -857,8 +838,10 @@ class Circuit:
         right after it; a wire that no acting op touches is fixed before the
         first.  Every later op acts on a group smaller by the fixed wire's
         dimension, and by deferred measurement the branch equals the full
-        state's accepted block within rounding.  A circuit with no accept
-        rule, or one whose accept rule lists every wire, raises ValueError.
+        state's accepted block within rounding.  A group whose every wire is
+        fixed becomes a 0-wire state, which the final ``_product`` joins.  A
+        circuit with no accept rule, or one whose accept rule lists every
+        wire, raises ValueError.
         """
         reg = self.register
         if initial_digits is None:
@@ -885,9 +868,7 @@ class Circuit:
             amplitudes = np.zeros(dim, dtype=np.complex128)
             amplitudes[digit] = 1.0
             group_of[wire] = StateVector(QuditRegister._of_checked((wire,), (dim,)), amplitudes)
-        weight = 1.0  # product of the amplitudes of groups whose every wire is fixed
-        for wire, digit in pending.items():  # each still in its one-wire group
-            weight *= _fix(group_of.pop(wire), {wire: digit})
+        done = [_fix(group_of.pop(wire), {wire: digit}) for wire, digit in pending.items()]  # the 0-wire states of fully fixed groups
         for index, op in enumerate(ops):
             wires = op._wires
             group = group_of[wires[0]]
@@ -902,14 +883,11 @@ class Circuit:
                 for wire in fixed:
                     del group_of[wire]
                 group = _fix(group, fixed)
-                if isinstance(group, StateVector):
-                    group_of.update(dict.fromkeys(group.register.ids, group))
-                else:
-                    weight *= group
-        state = _product(list(dict.fromkeys(group_of.values())), reg)
-        if not postselect:
-            return StateVector(reg, state.amplitudes)
-        return state if weight == 1.0 else StateVector(state.register, state.amplitudes * weight)
+                group_of.update(dict.fromkeys(group.register.ids, group))
+                if not group.register.ids:
+                    done.append(group)
+        state = _product(list(dict.fromkeys(group_of.values())) + done, reg)
+        return state if postselect else StateVector(reg, state.amplitudes)
 
 
 def accepted_branch(circuit: Circuit) -> tuple[StateVector, float]:
@@ -920,16 +898,14 @@ def accepted_branch(circuit: Circuit) -> tuple[StateVector, float]:
     return branch, float(np.vdot(branch.amplitudes, branch.amplitudes).real)
 
 
-def _fix(state: StateVector, digits: dict):
-    """The slice of ``state`` where each wire of ``digits`` reads its digit, copied into a new state over
-    the other wires so the rejected rows are freed; the amplitude itself when every wire is fixed."""
-    ids, dims = state.register.ids, state.register.dims
-    block = state.tensor()[tuple(digits.get(w, slice(None)) for w in ids)]
-    if block.ndim == 0:
-        return block[()]
-    kept = [p for p, w in enumerate(ids) if w not in digits]
-    register = QuditRegister._of_checked(tuple([ids[p] for p in kept]), tuple([dims[p] for p in kept]))
-    return StateVector(register, block.flatten(order="F"))
+def _fix(state: StateVector, pins: Mapping) -> StateVector:
+    """The ``_pin`` slice of ``state`` copied into a new state over the unpinned wires, so the rejected rows
+    are freed: a 0-wire state, its one amplitude, when every wire is pinned; ``state`` when none is."""
+    kept = [(w, d) for w, d in zip(state.register.ids, state.register.dims) if w not in pins]
+    if len(kept) == len(state.register):
+        return state
+    register = QuditRegister._of_checked(tuple([w for w, _ in kept]), tuple([d for _, d in kept]))
+    return StateVector(register, _pin(state.amplitudes, state.register, pins).flatten(order="F"))
 
 
 def _product(states: list[StateVector], register: QuditRegister) -> StateVector:

@@ -450,18 +450,35 @@ def test_exported_qpe_circuit_simulates_identically():
     assert probability == pytest.approx(probability_spin_s(2, 2, 3).probability, abs=1e-9)
 
 
-def test_reloaded_circuit_verifies():
-    # a reloaded circuit has integer wire ids and no builder metadata; its
-    # system is still the register's first n wires
+@pytest.mark.parametrize("family", ["spin-s", "sud"])
+@pytest.mark.parametrize("method", ["sequential", "qpe-log", "hadamard", "fanout"])
+def test_reloaded_circuit_verifies(family, method):
+    # a reloaded circuit has integer wire ids and no builder metadata; its system is still the
+    # register's first n wires, and the verify path pins every other ancilla (fanout's copy wires
+    # among them) at 0 by wire id, so P, F and the census equal the built circuit's bit for bit
     from quditdicke.serialize import circuit_from_json, circuit_to_json
 
-    spec = DickeSpecSpinS(2, 1, 1)
-    circuit = build_hadamard_test_spin_s(spec)
-    original = run_postselected(circuit, spin_s_dicke(spec))
-    reloaded = run_postselected(circuit_from_json(circuit_to_json(circuit)), spin_s_dicke(spec))
+    spec, oracle = {"spin-s": (DickeSpecSpinS(2, 2, 1), spin_s_dicke), "sud": (DickeSpecSUD(2, (1, 1, 0)), sud_dicke)}[family]
+    circuit = BUILDERS[family][method](spec)
+    original = run_postselected(circuit, oracle(spec))
+    reloaded = run_postselected(circuit_from_json(circuit_to_json(circuit)), oracle(spec))
+    assert original.conditional_fidelity >= 1 - 1e-9
     assert reloaded.acceptance_probability == original.acceptance_probability
     assert reloaded.conditional_fidelity == original.conditional_fidelity
     assert reloaded.ancilla_census == original.ancilla_census
+
+
+@pytest.mark.parametrize("shots, seed, what", [(2.5, 1, "shots"), (2, 1.7, "seed"), (0, 1.7, "seed")])
+def test_run_postselected_rejects_a_fractional_shots_or_seed(shots, seed, what):
+    # the acceptance is certain, so a truncated shots of 2.5 would draw 2 shots and report frequency 0.8
+    spec = DickeSpecSpinS(2, 1, 2)
+    circuit = build_hadamard_test_spin_s(spec)
+    with pytest.raises(ValueError) as info:
+        run_postselected(circuit, spin_s_dicke(spec), shots=shots, seed=seed)
+    assert str(info.value).startswith(f"{what} must be an integer, got ")
+    report = run_postselected(circuit, spin_s_dicke(spec), shots=np.int64(2), seed=1.0)
+    assert report.sampled_frequency == 1.0 and type(report.seed) is int and report.seed == 1
+    assert report.notes[-1] == "sampled acceptance frequency 1.0 over 2 shots"
 
 
 def test_run_postselected_on_deterministic_circuit():
@@ -544,7 +561,7 @@ def test_report_seed_reproduces_the_sampled_frequency():
 def test_collapse_is_the_block_over_the_root(build, spec):
     # the collapse multiplies by 1 / sqrt(P), which numpy's complex / real computes too: equal
     # values, bit for bit at every nonzero word, and only the sign of a zero word may differ
-    from quditdicke.sim import _digits_of, _outcome_block
+    from quditdicke.sim import _digits_of, _outcome_block, _pin
 
     circuit = build(spec)
     state = circuit.run()
@@ -552,11 +569,11 @@ def test_collapse_is_the_block_over_the_root(build, spec):
     dims = [state.register.dim(w) for w in wires]
     for index in range(math.prod(dims)):
         digits = _digits_of(index, dims)
-        select, block, probability = _outcome_block(state, wires, digits)
+        pins, block, probability = _outcome_block(state, wires, digits)
         if probability == 0.0:
             continue
         _, collapsed = project_on_outcome(state, wires, digits)
-        got, expected = select(collapsed.amplitudes).ravel(), (block / math.sqrt(probability)).ravel()
+        got, expected = _pin(collapsed.amplitudes, state.register, pins).ravel(), (block / math.sqrt(probability)).ravel()
         assert np.count_nonzero(collapsed.amplitudes) == np.count_nonzero(got)
         assert np.array_equal(got, expected)
         got, expected = got.view(np.float64), expected.view(np.float64)

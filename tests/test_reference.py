@@ -78,6 +78,35 @@ def test_spec_validation():
         DickeSpecSUD(3, (4, -1))
 
 
+@pytest.mark.parametrize(
+    "make, what",
+    [
+        (lambda: DickeSpecSpinS(2.5, 1, 1), "site count n"),
+        (lambda: DickeSpecSpinS(2, 1.5, 1), "twice_s"),
+        (lambda: DickeSpecSpinS(2, 1, 1.5), "charge k"),
+        (lambda: DickeSpecSUD(2.5, (1, 1, 0)), "site count n"),
+        (lambda: DickeSpecSUD(2, (1.5, 1.5, 0)), "occupation"),
+        (lambda: multinomial(3, (1.5, 1.5)), "occupation"),
+        (lambda: probability_sud(3, (1.5, 1.5)), "occupation"),
+    ],
+    ids=["spin-n", "spin-twice-s", "spin-k", "sud-n", "sud-kvec", "multinomial", "probability-sud"],
+)
+def test_spec_integer_field_with_a_fractional_part_is_rejected(make, what):
+    # refused, not truncated: DickeSpecSUD(2, (1.5, 1.5, 0)) must not become kvec (1, 1, 0)
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value).startswith(f"{what} must be an integer, got ")
+
+
+def test_spec_integral_fields_of_other_types_become_ints():
+    spin = DickeSpecSpinS(np.int64(2), 2.0, np.int64(1))
+    assert spin == DickeSpecSpinS(2, 2, 1) and all(type(v) is int for v in (spin.n, spin.twice_s, spin.k))
+    sud = DickeSpecSUD(np.int64(2), [np.int64(1), 1.0, 0])
+    assert sud == DickeSpecSUD(2, (1, 1, 0)) and all(type(v) is int for v in (sud.n,) + sud.kvec)
+    assert multinomial(2, (np.int64(1), 1.0)) == 2
+    assert probability_sud(2, (np.int64(1), 1.0)) == probability_sud(2, (1, 1))
+
+
 def test_spin_s_intro_example():
     # n=3 spin-1 state at charge 2: weight 2/sqrt(15) on digit strings with
     # a single 2, weight 1/sqrt(15) on strings written as 1+1

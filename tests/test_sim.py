@@ -495,7 +495,7 @@ def test_postselected_run_is_the_accepted_block(family, method, spec, monkeypatc
     builder = BUILDERS[family][method]
     circuit = builder(spec)
     wires, digits = circuit.accept_rule
-    select, block, probability = sim._outcome_block(circuit.run(), wires, digits)
+    _, block, probability = sim._outcome_block(circuit.run(), wires, digits)
     position = {wire: p for p, wire in enumerate(circuit.register.ids)}
     seen = []
 
@@ -717,7 +717,8 @@ def test_norm_preservation_and_unitarity_every_kind():
         for op in _op_pool(reg, rng):
             after = apply_gate(state, op)
             assert abs(after.norm() - 1.0) < 1e-12, op.kind
-            undone = apply_gate(after, op.inverse())
+            tdims = tuple(reg.dim(w) for w in op.targets)
+            undone = apply_gate(after, dense_unitary(op.targets, gate_matrix(op, tdims).conj().T, op.controls))
             assert np.allclose(undone.amplitudes, state.amplitudes, atol=1e-10), op.kind
 
 
@@ -1232,13 +1233,16 @@ def _from_dict(register=(3, 3), ops=(), accept_rule=None):
         (lambda: phase_k(0, 1, 3, offset=0.5), "PhaseK offset"),
         (lambda: _from_dict(ops=[{"kind": "PhaseK", "params": {"num": 1, "den": 3, "offset": 0, "level": 0.5}, "targets": [0]}]), "PhaseK level"),
         (lambda: _from_dict(accept_rule={"wires": [1], "digits": [0.9]}), "accept digit"),
+        (lambda: Circuit(QuditRegister.of_dims([3, 3]), [], accept_rule=((0,), (1.7,))), "accept digit"),
+        (lambda: project_on_outcome(new_basis_state(QuditRegister.of_dims([3, 3]), (1, 0)), (0,), (1.7,)), "outcome digit"),
+        (lambda: sample_measure(new_basis_state(QuditRegister.of_dims([3, 3]), (1, 0)), (0,), 1.7), "seed"),
         (lambda: Circuit(QuditRegister.of_dims([3, 3]), []).run(initial_digits=(0.5, 0)), "initial digit"),
         (lambda: _from_dict(register=(3.7, 2)), "dimension of wire 0"),
     ],
     ids=[
         "control-value-loaded", "control-value-factory", "rot-m-loaded", "rot-m-factory", "xswap-i-loaded",
         "xswap-j-factory", "phasek-num", "phasek-den", "phasek-offset", "phasek-level-loaded", "accept-digit",
-        "initial-digit", "register-dimension",
+        "accept-digit-built", "outcome-digit", "sample-seed", "initial-digit", "register-dimension",
     ],
 )
 def test_integer_field_with_a_fractional_part_is_rejected_when_built(make, what):
@@ -1259,6 +1263,10 @@ def test_integral_values_of_other_types_are_accepted_as_ints():
     assert loaded.register.dims == (3, 2) and type(loaded.ops[0].params["m"]) is int
     assert loaded.accept_rule == ((1,), (1,))
     assert loaded.run(initial_digits=(0.0, np.int64(1))).amplitudes.tobytes() == loaded.run(initial_digits=(0, 1)).amplitudes.tobytes()
+    state = apply_gate(new_basis_state(loaded.register, (0, 0)), hd(0))
+    (p_int64, by_int64), (p_int, by_int) = project_on_outcome(state, (0,), (np.int64(1),)), project_on_outcome(state, (0,), (1,))
+    assert p_int64 == p_int and by_int64.amplitudes.tobytes() == by_int.amplitudes.tobytes()
+    assert sample_measure(state, (0,), 2.0)[0] == sample_measure(state, (0,), 2)[0]
 
 
 @pytest.mark.parametrize("family", ["spin-s", "sud"])
