@@ -25,7 +25,7 @@ from .reference import DickeSpecSpinS, DickeSpecSUD, spin_s_dicke, sud_dicke
 from .report import count_resources, expected_repetitions
 from .serialize import circuit_to_json
 from .sim import accepted_branch
-from .suites import DEFAULT_MAX_AMPLITUDES, check_case, run_all
+from .suites import DEFAULT_MAX_AMPLITUDES, check_case, expected_probability, run_all
 
 # the level-set index keeps a tuple and a dict entry per partial occupation, about 550 B each,
 # so its cap is set by memory rather than borrowed from the 16 B amplitudes
@@ -191,7 +191,8 @@ def _cmd_prepare(args) -> int:
         raise ValueError(f"--shots must be >= 0, got {args.shots}")
     seed = _default_seed(args)
     spec, circuit = _spec_and_circuit(args)
-    expected = 1.0 if args.method == "sequential" else None
+    # a boost flag moves P off the closed form, which holds at the default boost only
+    expected = expected_probability(spec, args.method) if args.p is None and args.xi is None else None
     report, failures = check_case(args.method, circuit, _oracle(spec), expected, args.shots if seed is not None else 0, seed)
     text = report.to_json() if args.format == "json" else report.CSV_HEADER + "\n" + report.to_csv_row()
     _emit(text, args.out)

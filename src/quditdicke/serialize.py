@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import IO
+from typing import IO, Mapping
 
 import numpy as np
 
-from .sim import Circuit, GateOp, QuditRegister, StateVector
+from .sim import Circuit, GateOp, QuditRegister, StateVector, _integral
 
 
 def _params_to_json(op: GateOp) -> dict:
@@ -48,19 +48,36 @@ def circuit_to_json(circuit: Circuit) -> str:
     return json.dumps(circuit_to_dict(circuit), indent=2)
 
 
+def _field(entry, name: str, what: str, types=(list, tuple), default=None):
+    """``entry[name]`` of the loaded object ``what``, or ``default`` when the field is absent or null.  A missing
+    field, or one not of ``types``, raises ValueError naming ``what``, not KeyError or TypeError."""
+    if not isinstance(entry, Mapping):
+        raise ValueError(f"{what} must be a mapping, got {entry!r}")
+    value = default if entry.get(name) is None else entry[name]
+    if not isinstance(value, types):
+        raise ValueError(f"{what} has no {name}" if value is None else f"{what} field {name} has type {type(value).__name__}")
+    return value
+
+
 def circuit_from_dict(data: dict) -> Circuit:
-    """Rebuild a circuit; wires get integer ids 0..n-1."""
-    register = QuditRegister.of_dims(data["register"])
+    """Rebuild a circuit; wires get integer ids 0..n-1.  A wire position that is not an integer raises ValueError,
+    and so does a missing field or one of the wrong type, naming the circuit, the op or the accept rule."""
+    register = QuditRegister.of_dims(_field(data, "register", "circuit"))
     ops = []
-    for entry in data["ops"]:
-        params = dict(entry.get("params") or {})
-        if entry["kind"] == "DenseUnitary" and "matrix" in params:
+    for number, entry in enumerate(_field(data, "ops", "circuit")):
+        what = f"op {number}"
+        kind = _field(entry, "kind", what, str)
+        params = dict(_field(entry, "params", what, Mapping, {}))
+        if kind == "DenseUnitary" and "matrix" in params:
             params["matrix"] = np.array([[complex(re, im) for re, im in row] for row in params["matrix"]])
-        ops.append(GateOp(entry["kind"], entry["targets"], params, entry.get("controls") or ()))
+        targets = [_integral(wire, "wire position") for wire in _field(entry, "targets", what)]
+        controls = [(_integral(wire, "wire position"), value) for wire, value in _field(entry, "controls", what, default=())]
+        ops.append(GateOp(kind, targets, params, controls))
     accept = data.get("accept_rule")
     accept_rule = None
     if accept is not None:
-        accept_rule = (tuple(accept["wires"]), tuple(accept["digits"]))
+        wires = [_integral(wire, "wire position") for wire in _field(accept, "wires", "accept rule")]
+        accept_rule = (wires, _field(accept, "digits", "accept rule"))
     return Circuit(register, ops, accept_rule)
 
 

@@ -3,11 +3,15 @@
 Flat amplitude indices use a mixed-radix encoding in which the first wire
 of the register is the least-significant digit, so an index reads like the
 ket string written right to left.  The public operations are pure: they
-return new states and never mutate their inputs.  Each gate kernel acts
-in place on one view, the controlled subspace, chosen by gate kind: slice
-moves for the permutations (Xd, XdDag, Xswap, Sum, SumDag), a two-slice
-update for Rot, slice scaling for PhaseK, and a dense block matrix
-product for Hd, HdDag and DenseUnitary.  The block product holds at most
+return new states and never mutate their inputs.  One private table,
+``_KINDS``, has one row per gate kind: its target counts, its parameter
+names and the integer ones among them, its kernel, and the (parameter,
+value) pair that makes an op the identity by construction.  ``GateOp``,
+``apply_gate`` and ``_acts`` read the row.  Each kernel acts in place on
+one view, the controlled subspace: slice moves for the permutations (Xd,
+XdDag, Xswap, Sum, SumDag), a two-slice update for Rot, slice scaling
+for PhaseK, and a dense block matrix product for Hd, HdDag and
+DenseUnitary.  The block product holds at most
 two blocks of the bound ``_BLOCK``: a view above it is multiplied one
 sub-view at a time, looping over the trailing (most significant)
 non-target axes that do not fit, and each product is written back in
@@ -17,19 +21,19 @@ phases and the Hd/HdDag Fourier matrix come from bounded private
 by (d, sign), and are read-only; ``gate_matrix`` still returns a fresh
 array.
 
-Factory ops are shared immutable values: ``xd``, ``xd_dag``, ``xswap``,
-``sum_``, ``sum_dag``, ``hd``, ``hd_dag`` and ``phase_k`` return one
-already-checked ``GateOp`` per distinct (kind, targets, params,
-controls, layer tag) from one bounded private ``lru_cache`` memo,
-``_shared_op``, so the emission blocks that a sequential circuit repeats
-per bond label hold one object per distinct gate.  ``rot`` (its angles
-are mostly distinct) and ``dense_unitary`` (its parameter is an array)
-build a new op on every call.  An op stores its wire tuple, targets then
-control wires, once when it is built.  Integer fields (control values,
-Rot m, Xswap levels, PhaseK num, den, offset and level, accept and
-initial digits, register dimensions) take any integral value, such as
-np.int64(2) or 1.0, as an int; a fractional part raises ValueError when
-the object is built, the factories' cache key included.
+The factories other than ``rot`` (its angles are mostly distinct) and
+``dense_unitary`` (its parameter is an array) return one already-checked
+``GateOp`` per distinct (kind, targets, params, controls, layer tag) from
+one bounded private ``lru_cache`` memo, ``_shared_op``, so the emission
+blocks that a sequential circuit repeats per bond label hold one object
+per distinct gate.  An op stores its wire tuple, targets then control
+wires, once when it is built.  Integer fields (control values, the
+integer parameters of a row, accept and initial digits, register
+dimensions) take any integral value, such as np.int64(2) or 1.0, as an
+int; a fractional part raises ValueError when the object is built, the
+factories' cache key included.  So does a parameter that the kind's row
+does not list, and a Rot theta that is not a finite real number; theta
+is stored as a float.
 
 One placement helper, ``_place``, looks up an op's wires on a
 register once: it gives target positions, control positions and target
@@ -87,7 +91,7 @@ other wires, a 0-wire state when every wire is pinned.  ``report`` pins
 through the same views, so no other module reshapes amplitudes.
 ``sample_measure`` and the shot counts of ``qpe.run_postselected`` share
 one CDF, ``_cdf``, built as ``Generator.choice`` builds it from the exact
-marginal.  ``_draw_outcomes`` maps one ``default_rng(seed)`` uniform to
+marginal.  ``sample_measure`` maps one ``default_rng(seed)`` uniform to
 an outcome index, as ``choice`` does.  ``_count_outcome`` counts the
 shots that ``choice(size=shots)`` would give one outcome without forming
 an index: it draws the same uniforms in blocks of ``_BLOCK`` that
@@ -98,39 +102,33 @@ interval of the CDF.  An empty wire list is the certain outcome, digits
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-# Numerical contract of the package, shared by the builders, the verify
-# path and the acceptance suites.
-ATOL_UNITARY = 1e-10  # unitarity of constructed matrices
-FIDELITY_ACCEPT = 1.0 - 1e-9  # fidelity a prepared state must reach against its oracle
-ANCILLA_ACCEPT = 1.0 - 1e-10  # probability that a deterministic circuit returns its ancillas
-ATOL_PROBABILITY = 1e-9  # simulated acceptance probability against its closed form
-ATOL_IDENTITY = 1e-10  # identities exact in exact arithmetic: duality, charge moments, bond rows
-ATOL_CASCADE = 1e-9  # rotation cascade: squared amplitudes sum above 1, or equal to 1
+# The tolerance contract, the one place that says what each constant bounds.  Each comment gives the
+# quantity, where it is checked, then its worst value over one `quditdicke verify` and the margin, bound /
+# worst (measured with numpy 2.4 on scipy-openblas 0.3.31, Python 3.11, an x86-64 Xeon).
+ATOL_UNITARY = 1e-10  # |U^H U - I| of a DenseUnitary block, in GateOp: 1.9e-15, 5e4
+FIDELITY_ACCEPT = 1.0 - 1e-9  # 1 - F of a case against its oracle, in suites.check_case: 6.7e-16, 1.5e6
+ANCILLA_ACCEPT = 1.0 - 1e-10  # 1 - P of a sequential circuit, in sequential.verify_sequential: 3.3e-16, 3e5
+# |P - closed form|, in check_case; report.expected_repetitions also reads a P at or below it as 0: 1.3e-15, 7.5e5
+ATOL_PROBABILITY = 1e-9
+# exact identities, in suites criteria 6 and 7: duality 1 - F, |mean - k| and |variance| of each charge,
+# |sum g^2 - 1| of each bond row, the contracted table against the oracle: 8.5e-14 (a charge variance), 1.2e3
+ATOL_IDENTITY = 1e-10
+# |sum g^2 - 1| of a rotation cascade's amplitudes, in sequential.rotation_cascade_angles, which takes the
+# row as complete within it and refuses a sum above 1 + it: 4.4e-16, 2.3e6
+ATOL_CASCADE = 1e-9
 
 _BLOCK = 2**16  # scratch bound of block products and shot draws: a 1 MiB block and its product fit a 2 MiB L2 cache
-
-# target counts (None: any) and parameter names of each gate kind
-_SIGNATURES = {
-    "Xd": ((1,), ()),
-    "XdDag": ((1,), ()),
-    "Xswap": ((1,), ("i", "j")),
-    "Sum": ((2,), ()),
-    "SumDag": ((2,), ()),
-    "Hd": ((1,), ()),
-    "HdDag": ((1,), ()),
-    "Rot": ((1,), ("m", "theta")),
-    "PhaseK": ((1, 2), ("num", "den", "offset", "level")),
-    "DenseUnitary": (None, ("matrix",)),
-}
-GATE_KINDS = tuple(_SIGNATURES)
 
 
 class ImpossibleOutcomeError(ValueError):
@@ -261,13 +259,11 @@ def new_basis_state(register: QuditRegister, digits: Sequence[int]) -> StateVect
 
 
 _NO_PARAMS = MappingProxyType({})
-# integer parameters of each gate kind; PhaseK's level may also be None
-_INTEGER_PARAMS = {"Xswap": ("i", "j"), "Rot": ("m",), "PhaseK": ("num", "den", "offset", "level")}
 
 
 def _integer_params(kind: str, params: dict) -> dict:
-    """``params`` with each integer parameter of ``kind`` given as an int (``_integral``)."""
-    for name in _INTEGER_PARAMS.get(kind, ()):
+    """``params`` with each integer parameter of ``kind``'s row as an int (``_integral``); PhaseK's level may be None."""
+    for name in _KINDS[kind].integers:
         value = params[name]
         if type(value) is not int and (value is not None or name != "level"):
             params[name] = _integral(value, f"{kind} {name}")
@@ -307,7 +303,8 @@ class GateOp:
     layer_tag: str | None
 
     def __init__(self, kind: str, targets, params: Mapping = _NO_PARAMS, controls=(), layer_tag: str | None = None):
-        if kind not in _SIGNATURES:
+        row = _KINDS.get(kind)
+        if row is None:
             raise ValueError(f"unknown gate kind {kind!r}")
         targets = tuple(targets)
         controls = _control_pairs(controls)
@@ -327,18 +324,24 @@ class GateOp:
             overlap = set(targets) & set(control_wires)
             if overlap:
                 raise ValueError(f"wires {overlap} appear as both target and control")
-        counts, names = _SIGNATURES[kind]
-        if counts is not None and len(targets) not in counts:
-            raise ValueError(f"{kind} takes {' or '.join(map(str, counts))} target(s), got {len(targets)}")
-        if names:
-            missing = [name for name in names if name not in params]
-            if missing:
-                raise ValueError(f"{kind} is missing parameter(s) {', '.join(sorted(missing))}")
+        if row.targets is not None and len(targets) not in row.targets:
+            raise ValueError(f"{kind} takes {' or '.join(map(str, row.targets))} target(s), got {len(targets)}")
+        missing = [name for name in row.params if name not in params]
+        if missing:
+            raise ValueError(f"{kind} is missing parameter(s) {', '.join(sorted(missing))}")
+        unknown = [str(name) for name in params if name not in row.params]
+        if unknown:
+            raise ValueError(f"{kind} has no parameter(s) {', '.join(sorted(unknown))}")
         _integer_params(kind, params)
         if kind == "Xswap" and (params["i"] == params["j"] or min(params["i"], params["j"]) < 0):
             raise ValueError(f"Xswap levels ({params['i']},{params['j']}) must be distinct and nonnegative")
         if kind == "PhaseK" and params["den"] <= 0:
             raise ValueError("PhaseK denominator must be positive")
+        if kind == "Rot":  # a finite real angle, stored as a float; the bound also keeps a huge int from overflowing
+            theta = params["theta"]
+            if not isinstance(theta, numbers.Real) or not abs(theta) <= sys.float_info.max:
+                raise ValueError(f"Rot theta must be a finite real number, got {theta!r}")
+            params["theta"] = float(theta)
         if kind == "DenseUnitary":
             matrix = params["matrix"]
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -407,7 +410,7 @@ def hd_dag(wire, controls=(), layer_tag=None) -> GateOp:
 def rot(wire, m: int, theta: float, controls=(), layer_tag=None) -> GateOp:
     """Givens rotation in the (m, m+1) plane: |m> -> cos(t/2)|m> + sin(t/2)|m+1>.  Not shared: its
     angles are mostly distinct, and a shared key would have to tell -0.0 from 0.0."""
-    return GateOp("Rot", (wire,), {"m": m, "theta": float(theta)}, controls, layer_tag)
+    return GateOp("Rot", (wire,), {"m": m, "theta": theta}, controls, layer_tag)
 
 
 def phase_k(targets, num: int, den: int, offset: int = 0, level: int | None = None, controls=(), layer_tag=None) -> GateOp:
@@ -429,15 +432,10 @@ def dense_unitary(targets, matrix, controls=(), layer_tag=None) -> GateOp:
     return GateOp("DenseUnitary", targets, {"matrix": matrix}, controls, layer_tag)
 
 
-def _charge_values(dim: int, level: int | None) -> np.ndarray:
-    if level is None:
-        return np.arange(dim, dtype=float)
-    return (np.arange(dim) == level).astype(float)
-
-
 def _phases(num, den, offset, level, dims: Sequence[int]) -> np.ndarray:
     """PhaseK phase of each target digit tuple, one array axis per target."""
-    q = _charge_values(dims[-1], level) - offset
+    digits = np.arange(dims[-1])
+    q = (digits if level is None else digits == level).astype(float) - offset  # the charge: m, or [m == level]
     if len(dims) == 2:
         # the phase multiplies by the first wire's digit x: axis 0 is x, axis 1 is m
         q = np.multiply.outer(np.arange(dims[0], dtype=float), q)
@@ -485,11 +483,6 @@ def gate_matrix(op: GateOp, dims: Sequence[int]) -> np.ndarray:
     the least-significant digit of the block index.
     """
     _check_dims(op, dims)
-    return _matrix(op, dims)
-
-
-def _matrix(op: GateOp, dims: Sequence[int]) -> np.ndarray:
-    """gate_matrix for an op whose parameters are already checked."""
     kind = op.kind
     if kind in ("Xd", "XdDag"):
         d = dims[0]
@@ -529,9 +522,7 @@ def _matrix(op: GateOp, dims: Sequence[int]) -> np.ndarray:
         params = op.params
         phases = _phases(params["num"], params["den"], params["offset"], params["level"], dims)
         return np.diag(phases.reshape(-1, order="F"))
-    if kind == "DenseUnitary":
-        return op.params["matrix"]
-    raise ValueError(f"unknown gate kind {kind!r}")
+    return op.params["matrix"]  # DenseUnitary
 
 
 def _place(op: GateOp, register: QuditRegister) -> tuple[list, list, tuple]:
@@ -620,33 +611,33 @@ def _matmul_kernel(op, tdims, view):
         sub[...] = (matrix @ sub.reshape((rows, -1), order="F")).reshape(sub.shape, order="F")
 
 
-# Each kernel applies the gate in place to the controlled subspace ``view``
-# (target axes first).  Each temporary it holds is at most one level slice
-# or one Sum fiber; _matmul_kernel holds two blocks of at most _BLOCK amplitudes
-# (or of the target dims' product, when that alone is larger).
-_KERNELS = {
-    "Xd": _shift_kernel,
-    "XdDag": _shift_kernel,
-    "Xswap": _swap_kernel,
-    "Sum": _sum_kernel,
-    "SumDag": _sum_kernel,
-    "Hd": _matmul_kernel,
-    "HdDag": _matmul_kernel,
-    "Rot": _rot_kernel,
-    "PhaseK": _phase_kernel,
-    "DenseUnitary": _matmul_kernel,
+# One row per gate kind, the only table keyed by kind: its target counts (None: any), its kernel, its
+# parameter names and the integer ones among them, and the (parameter, value) pair that makes an op of the
+# kind the identity by construction (``_acts``), or None.  Each kernel applies the gate in place to the
+# controlled subspace ``view`` (target axes first).  Each temporary it holds is at most one level slice or
+# one Sum fiber; _matmul_kernel holds two blocks of at most _BLOCK amplitudes (or of the target dims'
+# product, when that alone is larger).
+_Kind = collections.namedtuple("_Kind", "targets kernel params integers identity", defaults=((), (), None))
+_KINDS = {
+    "Xd": _Kind((1,), _shift_kernel),
+    "XdDag": _Kind((1,), _shift_kernel),
+    "Xswap": _Kind((1,), _swap_kernel, ("i", "j"), ("i", "j")),
+    "Sum": _Kind((2,), _sum_kernel),
+    "SumDag": _Kind((2,), _sum_kernel),
+    "Hd": _Kind((1,), _matmul_kernel),
+    "HdDag": _Kind((1,), _matmul_kernel),
+    "Rot": _Kind((1,), _rot_kernel, ("m", "theta"), ("m",), ("theta", 0.0)),
+    "PhaseK": _Kind((1, 2), _phase_kernel, ("num", "den", "offset", "level"), ("num", "den", "offset", "level"), ("num", 0)),
+    "DenseUnitary": _Kind(None, _matmul_kernel, ("matrix",)),
 }
+GATE_KINDS = tuple(_KINDS)
 
 
 def _acts(op: GateOp) -> bool:
-    """False for an op that is the identity by construction, which ``Circuit.run`` leaves out: a PhaseK
-    with num 0 or a Rot with theta 0.  Any other op may act, and runs."""
-    kind = op.kind
-    if kind == "PhaseK":
-        return op.params["num"] != 0
-    if kind == "Rot":
-        return op.params["theta"] != 0.0
-    return True
+    """False for an op that is the identity by construction, which ``Circuit.run`` leaves out: its row's
+    identity pair holds (num 0 for PhaseK, theta 0 for Rot).  Any other op may act, and runs."""
+    identity = _KINDS[op.kind].identity
+    return identity is None or op.params[identity[0]] != identity[1]
 
 
 def apply_gate(state: StateVector, op: GateOp, *, in_place: bool = False) -> StateVector:
@@ -661,7 +652,7 @@ def apply_gate(state: StateVector, op: GateOp, *, in_place: bool = False) -> Sta
     sel = (slice(None),) * len(tpos) + tuple([v for _, v in op.controls])
     out = state if in_place else StateVector(reg, state.amplitudes.copy())
     view = out.amplitudes.reshape(reg.dims, order="F").transpose(order)[sel]
-    _KERNELS[op.kind](op, tdims, view)
+    _KINDS[op.kind].kernel(op, tdims, view)
     return out
 
 
@@ -758,12 +749,6 @@ def _cdf(state: StateVector, wires: Sequence) -> np.ndarray:
     return cdf
 
 
-def _draw_outcomes(state: StateVector, wires: Sequence, seed: int) -> int:
-    """One outcome index over ``wires`` drawn from the exact marginal by ``default_rng(seed)``: the
-    draw of ``choice`` by its own inverse-CDF algorithm, without its per-call validation."""
-    return int(_cdf(state, wires).searchsorted(np.random.default_rng(seed).random(), side="right"))
-
-
 def _count_outcome(state: StateVector, wires: Sequence, index: int, seed: int, shots: int) -> int:
     """How many of ``shots`` draws of ``default_rng(seed).choice`` on the marginal over ``wires``
     give outcome ``index``, drawn in blocks of at most _BLOCK uniforms that continue one stream.
@@ -787,10 +772,13 @@ def sample_measure(state: StateVector, wires: Sequence, seed: int) -> tuple[tupl
     """Draw one outcome for the listed wires from the exact marginal.
 
     Deterministic for a fixed (state, wires, seed); the collapsed state is
-    the same as project_on_outcome on the drawn digits.
+    the same as project_on_outcome on the drawn digits.  The outcome index
+    is the draw of ``default_rng(seed).choice`` on the exact marginal, by
+    its own inverse-CDF algorithm without its per-call validation.
     """
     wires = tuple(wires)
-    index = _draw_outcomes(state, wires, _integral(seed, "seed"))
+    uniform = np.random.default_rng(_integral(seed, "seed")).random()
+    index = int(_cdf(state, wires).searchsorted(uniform, side="right"))
     digits = _digits_of(index, [state.register.dim(w) for w in wires])
     return digits, project_on_outcome(state, wires, digits)[1]
 
@@ -821,27 +809,15 @@ class Circuit:
             object.__setattr__(self, "accept_rule", (tuple(pins), tuple(pins.values())))
 
     def run(self, initial_digits: Sequence[int] | None = None, *, postselect: bool = False) -> StateVector:
-        """Simulate from |0...0> (or the given digits) through every op that acts.
+        """Simulate from |0...0> (or the given digits) through every op that acts (``_acts``), each once
+        through ``apply_gate``, in the wire groups of the module docstring; the result is the full state.
 
-        An op that is the identity by construction, a PhaseK with num 0 or a
-        Rot with theta 0 (``_acts``), is left out: it neither runs nor joins
-        groups.  ``ops``, and so the gate count and depth, still hold it.
-        Every other op runs through ``apply_gate``, once.  Wires that no op
-        has joined yet are simulated apart in groups kept in register order
-        (module docstring); the result is the full state.
-
-        With ``postselect`` the result is the accepted branch instead: the
-        unnormalized amplitudes where the accept wires read the accept
-        digits, over the other wires in register order, whose squared norm
-        is the acceptance probability.  One reverse scan maps the index of
-        each accept wire's last acting op to the {wire: digit} pairs fixed
-        right after it; a wire that no acting op touches is fixed before the
-        first.  Every later op acts on a group smaller by the fixed wire's
-        dimension, and by deferred measurement the branch equals the full
-        state's accepted block within rounding.  A group whose every wire is
-        fixed becomes a 0-wire state, which the final ``_product`` joins.  A
-        circuit with no accept rule, or one whose accept rule lists every
-        wire, raises ValueError.
+        With ``postselect`` the result is the accepted branch instead: the unnormalized amplitudes where the
+        accept wires read the accept digits, over the other wires in register order, whose squared norm is
+        the acceptance probability.  One reverse scan maps the index of each accept wire's last acting op to
+        the {wire: digit} pairs fixed right after it (module docstring); a wire that no acting op touches is
+        fixed before the first.  A circuit with no accept rule, or one whose accept rule lists every wire,
+        raises ValueError.
         """
         reg = self.register
         if initial_digits is None:

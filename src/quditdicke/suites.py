@@ -125,23 +125,27 @@ def _oracle(spec):
     return spin_s_dicke(spec) if isinstance(spec, DickeSpecSpinS) else sud_dicke(spec)
 
 
+def expected_probability(spec, method: str) -> float:
+    """The acceptance probability ``check_case`` expects of ``spec`` under ``method`` at its default boost:
+    1 for the sequential method, else the family's closed form at the optimal boost."""
+    if method == "sequential":
+        return 1.0
+    spin = isinstance(spec, DickeSpecSpinS)
+    return (probability_spin_s(spec.n, spec.twice_s, spec.k) if spin else probability_sud(spec.n, spec.kvec)).probability
+
+
 def _case(spec, methods):
     """(name, circuit, oracle, expected) of one spec under each of ``methods`` in turn: the detail-line name,
-    the built circuit, the oracle and the closed-form acceptance probability, each evaluated once per spec."""
+    the built circuit, the oracle, evaluated once per spec, and ``expected_probability``."""
     family, label = _family(spec)
-    spin = family == "spin-s"
     oracle = _oracle(spec)
-    closed_form = None
     for method in methods:
         circuit = BUILDERS[family][method](spec)
-        if method == "sequential":
-            counts = _OP_COUNTS.get()
-            if counts is not None:
-                counts[family, spec] = len(circuit.ops)
-            yield f"{family} {label}", circuit, oracle, 1.0
-        else:
-            closed_form = closed_form or (probability_spin_s(spec.n, spec.twice_s, spec.k) if spin else probability_sud(spec.n, spec.kvec))
-            yield f"{family} {method} {label}", circuit, oracle, closed_form.probability
+        counts = _OP_COUNTS.get()
+        if method == "sequential" and counts is not None:
+            counts[family, spec] = len(circuit.ops)
+        name = f"{family} {label}" if method == "sequential" else f"{family} {method} {label}"
+        yield name, circuit, oracle, expected_probability(spec, method)
 
 
 def _cases(pairs, max_amplitudes: int, skips: list[str]):

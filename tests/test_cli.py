@@ -4,10 +4,11 @@ import json
 
 import pytest
 
+from quditdicke import qpe
 from quditdicke.cli import cli_main
 from quditdicke.report import RunReport
 from quditdicke.serialize import circuit_from_json
-from quditdicke.sim import ATOL_PROBABILITY
+from quditdicke.sim import ATOL_PROBABILITY, FIDELITY_ACCEPT
 
 
 def run_cli(args):
@@ -280,6 +281,21 @@ def test_prepare_exit_1_on_verification_failure(tmp_path):
     assert code == 1
     report = RunReport.from_json(out.read_text())
     assert report.acceptance_probability < 1e-9
+
+
+def test_prepare_checks_p_against_the_closed_form_at_the_default_boost(capsys, monkeypatch):
+    # a default boost of 1/2 instead of k/(2sn) = 1/3 still prepares the target, F = 1, so only P can show it;
+    # an explicit boost moves P off the closed form, so P is then reported and not compared
+    readout = qpe._spin_s_readout
+    monkeypatch.setattr(qpe, "_spin_s_readout", lambda spec, p: readout(spec, 0.5 if p is None else p))
+    argv = ["prepare", "--family", "spin-s", "--n", "3", "--s", "0.5", "--k", "1", "--method", "hadamard"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["acceptance_probability"] == pytest.approx(0.375, abs=1e-12)
+    assert report["conditional_fidelity"] >= FIDELITY_ACCEPT
+    assert captured.err == f"failed: hadamard: probability {report['acceptance_probability']!r} vs {4 / 9!r}\n"
+    assert run_cli(argv + ["--p", "0.5"]) == 0
 
 
 def test_prepare_names_each_failure_on_stderr(capsys):

@@ -891,13 +891,11 @@ def test_sample_measure_frequency():
 
 
 def test_single_draws_equal_generator_choice():
-    from quditdicke.sim import _draw_outcomes
-
     plus = StateVector(QuditRegister.of_dims([2]), np.array([1.0, 1.0]) / math.sqrt(2))
     p = outcome_distribution(plus, (0,))
     p = p / p.sum()
     for seed in range(3000):
-        assert _draw_outcomes(plus, (0,), seed) == int(np.random.default_rng(seed).choice(2, p=p))
+        assert sample_measure(plus, (0,), seed)[0] == (int(np.random.default_rng(seed).choice(2, p=p)),)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2024])
@@ -984,6 +982,28 @@ def test_bad_gate_parameters_fail_at_load(op):
 
 
 @pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"register": [3], "ops": [{"kind": "Xd"}]}, "op 0 has no targets"),
+        ({"register": [3], "ops": [{"targets": [0]}]}, "op 0 has no kind"),
+        ({"register": [3], "ops": [{"kind": "Xd", "targets": [0]}], "accept_rule": {"wires": [0]}}, "accept rule has no digits"),
+        ({"register": 3, "ops": []}, "circuit field register has type int"),
+        ({"register": [3], "ops": [{"kind": "Xd", "targets": [0]}, {"kind": "Xd", "targets": [0], "params": 5}]}, "op 1 field params has type int"),
+        ({"register": [3], "ops": [{"kind": "Xd", "targets": [0], "params": [["theta", 1.0]]}]}, "op 0 field params has type list"),
+        ({"register": [3], "ops": [{"kind": "Xd", "targets": 0}]}, "op 0 field targets has type int"),
+        ({"register": [3], "ops": ["Xd"]}, "op 0 must be a mapping, got 'Xd'"),
+        ({"register": [3]}, "circuit has no ops"),
+    ],
+    ids=["no-targets", "no-kind", "accept-no-digits", "register-not-a-list", "params-not-a-mapping", "params-a-list",
+         "targets-not-a-list", "op-not-a-mapping", "no-ops"],
+)
+def test_malformed_exchange_entry_raises_value_error_naming_it(data, message):
+    with pytest.raises(ValueError) as info:
+        circuit_from_dict(data)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "make, message",
     [
         (lambda: GateOp("Sum", (0,)), "Sum takes 2 target(s), got 1"),
@@ -1003,12 +1023,19 @@ def test_bad_gate_parameters_fail_at_load(op):
         (lambda: phase_k(0, 1, -3), "PhaseK denominator must be positive"),
         (lambda: dense_unitary(0, np.ones(4)), "DenseUnitary matrix must be square, got shape (4,)"),
         (lambda: dense_unitary(0, [[1, 1], [0, 1]]), "DenseUnitary matrix is not unitary within tolerance"),
+        (lambda: rot(0, 0, float("nan")), "Rot theta must be a finite real number, got nan"),
+        (lambda: rot(0, 0, float("inf")), "Rot theta must be a finite real number, got inf"),
+        (lambda: rot(0, 0, -(10**400)), f"Rot theta must be a finite real number, got {-(10**400)!r}"),
+        (lambda: GateOp("Rot", (0,), {"m": 0, "theta": "0.5"}), "Rot theta must be a finite real number, got '0.5'"),
+        (lambda: GateOp("Xd", (0,), {"theta": 1.0}), "Xd has no parameter(s) theta"),
+        (lambda: GateOp("PhaseK", (0,), {"num": 1, "den": 3, "offset": 0, "level": None, "m": 0, "i": 1}), "PhaseK has no parameter(s) i, m"),
     ],
     ids=[
         "sum-one-target", "rot-without-theta", "phasek-zero-den", "xswap-equal-levels", "dense-not-square",
         "unknown-kind", "three-controls", "duplicate-targets", "duplicate-controls", "target-and-control",
         "phasek-three-targets", "rot-no-params", "phasek-missing-two", "xswap-negative", "phasek-negative-den",
-        "dense-one-axis", "dense-not-unitary",
+        "dense-one-axis", "dense-not-unitary", "rot-nan-theta", "rot-infinite-theta", "rot-huge-int-theta",
+        "rot-string-theta", "xd-unknown-param", "phasek-unknown-params",
     ],
 )
 def test_malformed_op_fails_when_made(make, message):
@@ -1238,11 +1265,13 @@ def _from_dict(register=(3, 3), ops=(), accept_rule=None):
         (lambda: sample_measure(new_basis_state(QuditRegister.of_dims([3, 3]), (1, 0)), (0,), 1.7), "seed"),
         (lambda: Circuit(QuditRegister.of_dims([3, 3]), []).run(initial_digits=(0.5, 0)), "initial digit"),
         (lambda: _from_dict(register=(3.7, 2)), "dimension of wire 0"),
+        (lambda: _from_dict(ops=[{"kind": "Xd", "targets": [0.5]}]), "wire position"),
     ],
     ids=[
         "control-value-loaded", "control-value-factory", "rot-m-loaded", "rot-m-factory", "xswap-i-loaded",
         "xswap-j-factory", "phasek-num", "phasek-den", "phasek-offset", "phasek-level-loaded", "accept-digit",
         "accept-digit-built", "outcome-digit", "sample-seed", "initial-digit", "register-dimension",
+        "target-position-loaded",
     ],
 )
 def test_integer_field_with_a_fractional_part_is_rejected_when_built(make, what):
@@ -1261,6 +1290,7 @@ def test_integral_values_of_other_types_are_accepted_as_ints():
         accept_rule={"wires": [1], "digits": [1.0]},
     )
     assert loaded.register.dims == (3, 2) and type(loaded.ops[0].params["m"]) is int
+    assert type(GateOp("Rot", (0,), {"m": 0, "theta": np.int64(1)}).params["theta"]) is float  # a finite real angle
     assert loaded.accept_rule == ((1,), (1,))
     assert loaded.run(initial_digits=(0.0, np.int64(1))).amplitudes.tobytes() == loaded.run(initial_digits=(0, 1)).amplitudes.tobytes()
     state = apply_gate(new_basis_state(loaded.register, (0, 0)), hd(0))
