@@ -105,7 +105,7 @@ class ChargeReadout:
     charge: ``label`` names that charge's ancillas, and the charge of a
     site digit m is m itself when ``level`` is None, else [m == level].
     ``max_charge`` is the largest value any charge reaches (2sn or n);
-    ``meta`` carries the family fields of the circuit's report.
+    ``meta`` holds the target's spec and the boost, for the built circuit's meta.
     """
 
     site_amps: np.ndarray
@@ -115,24 +115,21 @@ class ChargeReadout:
 
     @property
     def system(self) -> list[str]:
-        return _system_wires(self.meta["n"])
+        return _system_wires(self.meta["spec"].n)
 
 
 def _spin_s_readout(spec: DickeSpecSpinS, p: float | None) -> ChargeReadout:
-    if p is None:
-        p = spec.k / spec.max_charge
-    meta = {"family": "spin-s", "n": spec.n, "twice_s": spec.twice_s, "k": spec.k, "optimal_parameter": p}
+    p = spec.optimal_boost if p is None else p
+    meta = {"spec": spec, "optimal_parameter": p}
     return ChargeReadout(_site_amplitudes_spin_s(spec.twice_s, p), (("", None, spec.k),), spec.max_charge, meta)
 
 
 def _sud_readout(spec: DickeSpecSUD, xi) -> ChargeReadout:
-    if xi is None:
-        xi = tuple(math.sqrt(v / spec.n) for v in spec.kvec)
-    xi = tuple(float(v) for v in xi)
+    xi = tuple(float(v) for v in (spec.optimal_boost if xi is None else xi))
     if len(xi) != spec.d:
         raise ValueError(f"xi needs {spec.d} components")
     charges = tuple((str(i), i, spec.kvec[i]) for i in range(1, spec.d))
-    meta = {"family": "sud", "n": spec.n, "kvec": spec.kvec, "optimal_parameter": list(xi)}
+    meta = {"spec": spec, "optimal_parameter": list(xi)}
     return ChargeReadout(_site_amplitudes_sud(xi), charges, spec.n, meta)
 
 
@@ -167,7 +164,7 @@ def _boost_sweep(circuit: Circuit, site_amps) -> np.ndarray:
     --param p`` keeps one circuit per point: its CSV prints each
     probability with ``repr``, whose last bits a sweep moves.
     """
-    reg, n = circuit.register, circuit.meta["n"]
+    reg, n = circuit.register, circuit.meta["spec"].n
     system, levels = reg.ids[:n], len(site_amps)
     grid = ("grid",) if levels > 1 else ()
     register = QuditRegister(list(zip(reg.ids, reg.dims)) + [(w, levels) for w in grid])
@@ -247,8 +244,8 @@ def _build_fanout(readout: ChargeReadout) -> Circuit:
     return _circuit(readout, "fanout", ancillas, ops, (tuple(flags), (0,) * len(flags)))
 
 
-# The six public builders read a spin-s target's one charge (boost p defaults
-# to k/(2sn)) or a multilevel target's d-1 occupations (xi defaults to sqrt(k_i/n)).
+# The six public builders read a spin-s target's one charge or a multilevel target's
+# d-1 occupations; the boost, p or xi, defaults to the spec's ``optimal_boost``.
 def build_qpe_log_spin_s(spec: DickeSpecSpinS, p: float | None = None) -> Circuit:
     return _build_qpe_log(_spin_s_readout(spec, p))
 

@@ -57,8 +57,17 @@ def multinomial(n: int, kvec) -> int:
 
 @dataclass(frozen=True)
 class DickeSpecSpinS:
-    """Problem descriptor (n sites, spin s stored as 2s, total charge k)."""
+    """Problem descriptor (n sites, spin s stored as 2s, total charge k).
 
+    A spec is the one place for its family's facts: the family name, the
+    detail-line label, the report's family fields, the optimal boost (p =
+    k/(2sn), or xi_i = sqrt(k_i/n) for ``DickeSpecSUD``), the oracle and
+    the closed-form success probability.  ``oracle`` and
+    ``closed_form`` call this module's functions by name, so a caller that
+    rebinds ``spin_s_dicke`` or ``probability_spin_s`` here sees every call.
+    """
+
+    family = "spin-s"
     n: int
     twice_s: int
     k: int
@@ -85,11 +94,30 @@ class DickeSpecSpinS:
     def max_charge(self) -> int:
         return self.twice_s * self.n
 
+    @property
+    def label(self) -> str:
+        return f"n={self.n} 2s={self.twice_s} k={self.k}"
+
+    def report_fields(self) -> dict:
+        return {"s": self.s, "k": self.k}
+
+    @property
+    def optimal_boost(self) -> float:
+        return self.k / self.max_charge
+
+    def oracle(self) -> StateVector:
+        return spin_s_dicke(self)
+
+    def closed_form(self) -> ProbabilityReport:
+        return probability_spin_s(self.n, self.twice_s, self.k)
+
 
 @dataclass(frozen=True)
 class DickeSpecSUD:
-    """Problem descriptor (n sites, occupation vector over d >= 2 levels)."""
+    """Problem descriptor (n sites, occupation vector over d >= 2 levels), with the same family facts
+    as ``DickeSpecSpinS``."""
 
+    family = "sud"
     n: int
     kvec: tuple[int, ...]
 
@@ -108,6 +136,23 @@ class DickeSpecSUD:
     @property
     def d(self) -> int:
         return len(self.kvec)
+
+    @property
+    def label(self) -> str:
+        return f"n={self.n} kvec={self.kvec}"
+
+    def report_fields(self) -> dict:
+        return {"kvec": list(self.kvec)}
+
+    @property
+    def optimal_boost(self) -> tuple[float, ...]:
+        return tuple(math.sqrt(v / self.n) for v in self.kvec)
+
+    def oracle(self) -> StateVector:
+        return sud_dicke(self)
+
+    def closed_form(self) -> ProbabilityReport:
+        return probability_sud(self.n, self.kvec)
 
 
 def _site_reduce(ufunc: np.ufunc, site_values: np.ndarray, n: int) -> np.ndarray:
@@ -268,15 +313,14 @@ class ProbabilityReport:
 
 
 def probability_spin_s(n: int, twice_s: int, k: int) -> ProbabilityReport:
-    """Postselection success probability at the optimal boost p = k/(2sn).
+    """Postselection success probability at the optimal boost p = ``DickeSpecSpinS.optimal_boost``.
 
     Exact value C(2sn, k) p^k (1-p)^(2sn-k) evaluated in log space, with
-    the 0^0 = 1 convention making both charge edges certain.
+    the 0^0 = 1 convention making both charge edges certain.  The arguments
+    are checked as ``DickeSpecSpinS`` checks them.
     """
-    total = twice_s * n
-    if not 0 <= k <= total:
-        raise ValueError(f"charge k={k} outside 0..{total}")
-    p = k / total
+    spec = DickeSpecSpinS(n, twice_s, k)
+    total, k, p = spec.max_charge, spec.k, spec.optimal_boost
     if k == 0 or k == total:
         probability = 1.0
     else:
@@ -286,16 +330,15 @@ def probability_spin_s(n: int, twice_s: int, k: int) -> ProbabilityReport:
 
 
 def probability_sud(n: int, kvec) -> ProbabilityReport:
-    """Postselection success probability at the optimal boost xi_i = sqrt(k_i/n).
+    """Postselection success probability at the optimal boost xi = ``DickeSpecSUD.optimal_boost``.
 
     Exact value (n!/n^n) prod_i k_i^{k_i}/k_i! with 0^0 = 1, in log space.
+    The arguments are checked as ``DickeSpecSUD`` checks them.
     """
-    kvec = tuple([_integral(v, "occupation") for v in kvec])
-    if any(v < 0 for v in kvec) or sum(kvec) != n:
-        raise ValueError(f"occupations {kvec} do not sum to n={n}")
-    xi = tuple(math.sqrt(v / n) for v in kvec)
+    spec = DickeSpecSUD(n, kvec)
+    n = spec.n
     log_p = math.log(math.factorial(n)) - n * math.log(n)
-    for v in kvec:
+    for v in spec.kvec:
         if v > 0:
             log_p += v * math.log(v) - math.log(math.factorial(v))
-    return ProbabilityReport(xi, math.exp(log_p))
+    return ProbabilityReport(spec.optimal_boost, math.exp(log_p))

@@ -49,9 +49,10 @@ def logical_depth(circuit: Circuit) -> int:
 
 
 def ancilla_census(circuit: Circuit, n: int | None = None) -> list[list[int]]:
-    """Wires after the n system wires grouped by dimension, as sorted
-    [dimension, count] pairs; ``n`` defaults to the builder's ``meta["n"]``."""
-    n = circuit.meta.get("n", 0) if n is None else n
+    """Wires after the n system wires grouped by dimension, as sorted [dimension, count] pairs; ``n``
+    defaults to the site count of the builder's ``meta["spec"]``, 0 for a circuit without one."""
+    if n is None:
+        n = circuit.meta["spec"].n if "spec" in circuit.meta else 0
     counts: dict[int, int] = {}
     for dim in circuit.register.dims[n:]:
         counts[dim] = counts.get(dim, 0) + 1
@@ -159,15 +160,12 @@ class RunReport:
 
 
 def spec_fields(circuit: Circuit) -> dict:
-    """Spec block of a report, pulled from builder metadata."""
-    meta = circuit.meta
-    out = {"family": meta.get("family"), "n": meta.get("n"), "method": meta.get("method")}
-    if meta.get("family") == "spin-s":
-        out["s"] = meta.get("twice_s", 0) / 2.0
-        out["k"] = meta.get("k")
-    else:
-        out["kvec"] = list(meta.get("kvec", ()))
-    return out
+    """Spec block of a report: the family, n and family fields of the builder's ``meta["spec"]``, and the method.
+    A circuit without a spec, such as one reloaded from the exchange format, gives family, n and method as None."""
+    spec, method = circuit.meta.get("spec"), circuit.meta.get("method")
+    if spec is None:
+        return {"family": None, "n": None, "method": method}
+    return {"family": spec.family, "n": spec.n, "method": method, **spec.report_fields()}
 
 
 def verify_circuit(circuit: Circuit, oracle_state: StateVector) -> RunReport:

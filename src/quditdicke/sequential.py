@@ -60,20 +60,6 @@ def spin_s_l_range(n: int, twice_s: int, k: int, i: int) -> range:
     return range(max(0, twice_s * (i - n - 1) + k), min(twice_s * i, k))
 
 
-def _emitter_gates_spin_s(n: int, twice_s: int, k: int, i: int, l: int) -> list[GateOp]:
-    chi = k + 1
-    system = f"s{i}"
-    gammas = gamma_row_spin_s(n, twice_s, k, i, l)
-    if not any(gammas):
-        return []
-    angles = rotation_cascade_angles(gammas)
-    control = (("mps", (l + 1) % chi),)
-    ops = [xd("mps"), sum_dag("mps", system)]
-    ops += [rot(system, m, angles[m], controls=control) for m in range(twice_s)]
-    ops += [sum_("mps", system), xd_dag("mps")]
-    return ops
-
-
 def build_i_spin_s(n: int, twice_s: int, k: int, i: int, l: int) -> list[GateOp]:
     """Gate sequence of one spin-s emission block (2s+4 gates).
 
@@ -85,7 +71,15 @@ def build_i_spin_s(n: int, twice_s: int, k: int, i: int, l: int) -> list[GateOp]
         raise ValueError(f"site {i} outside 1..{n}")
     if l not in spin_s_l_range(n, twice_s, k, i):
         raise ValueError(f"label {l} outside the active range for site {i}")
-    return _emitter_gates_spin_s(n, twice_s, k, i, l)
+    gammas = gamma_row_spin_s(n, twice_s, k, i, l)
+    if not any(gammas):
+        return []
+    angles = rotation_cascade_angles(gammas)
+    system, control = f"s{i}", (("mps", (l + 1) % (k + 1)),)
+    ops = [xd("mps"), sum_dag("mps", system)]
+    ops += [rot(system, m, angles[m], controls=control) for m in range(twice_s)]
+    ops += [sum_("mps", system), xd_dag("mps")]
+    return ops
 
 
 def build_sequential_spin_s(spec: DickeSpecSpinS, via_duality: bool = False) -> Circuit:
@@ -101,8 +95,8 @@ def build_sequential_spin_s(spec: DickeSpecSpinS, via_duality: bool = False) -> 
         ops = list(mirror.ops) + [
             xswap(f"s{j}", m, spec.twice_s - m) for j in range(1, spec.n + 1) for m in range((spec.twice_s + 1) // 2)
         ]
-        notes = list(mirror.meta.get("notes", ())) + ["prepared via charge conjugation of the mirror target"]
-        return Circuit(mirror.register, ops, mirror.accept_rule, dict(mirror.meta, k=spec.k, notes=notes))
+        notes = mirror.meta["notes"] + ["prepared via charge conjugation of the mirror target"]
+        return Circuit(mirror.register, ops, mirror.accept_rule, dict(mirror.meta, spec=spec, notes=notes))
 
     n, twice_s, k = spec.n, spec.twice_s, spec.k
     dim = spec.dim
@@ -119,20 +113,8 @@ def build_sequential_spin_s(spec: DickeSpecSpinS, via_duality: bool = False) -> 
         for i in range(1, n + 1):
             for l in spin_s_l_range(n, twice_s, k, i):
                 ops += build_i_spin_s(n, twice_s, k, i, l)
-    circuit = Circuit(
-        QuditRegister(wires),
-        ops,
-        accept_rule=(("mps",), (k,)),
-        meta={
-            "family": "spin-s",
-            "method": "sequential",
-            "n": n,
-            "twice_s": twice_s,
-            "k": k,
-            "optimal_parameter": None,
-        },
-    )
-    return circuit
+    meta = {"spec": spec, "method": "sequential", "optimal_parameter": None, "notes": []}
+    return Circuit(QuditRegister(wires), ops, accept_rule=(("mps",), (k,)), meta=meta)
 
 
 def build_i_sud(i: int, p: int, row, after) -> list[GateOp]:
@@ -186,18 +168,8 @@ def build_sequential_sud(spec: DickeSpecSUD) -> Circuit:
         for i, site in enumerate(table, 1):
             for p, (_, row, after) in enumerate(site):
                 ops += build_i_sud(i, p, row, after)
-    return Circuit(
-        QuditRegister(wires),
-        ops,
-        accept_rule=(("mps", "flag"), (0, 0)),
-        meta={
-            "family": "sud",
-            "method": "sequential",
-            "n": n,
-            "kvec": kvec,
-            "optimal_parameter": None,
-        },
-    )
+    meta = {"spec": spec, "method": "sequential", "optimal_parameter": None, "notes": []}
+    return Circuit(QuditRegister(wires), ops, accept_rule=(("mps", "flag"), (0, 0)), meta=meta)
 
 
 def verify_sequential(circuit: Circuit, oracle_state: StateVector) -> RunReport:

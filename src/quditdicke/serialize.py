@@ -61,7 +61,8 @@ def _field(entry, name: str, what: str, types=(list, tuple), default=None):
 
 def circuit_from_dict(data: dict) -> Circuit:
     """Rebuild a circuit; wires get integer ids 0..n-1.  A wire position that is not an integer raises ValueError,
-    and so does a missing field or one of the wrong type, naming the circuit, the op or the accept rule."""
+    and so does a missing field, one of the wrong type, or a control or matrix entry that is not a pair, naming the
+    circuit, the op or the accept rule."""
     register = QuditRegister.of_dims(_field(data, "register", "circuit"))
     ops = []
     for number, entry in enumerate(_field(data, "ops", "circuit")):
@@ -69,9 +70,15 @@ def circuit_from_dict(data: dict) -> Circuit:
         kind = _field(entry, "kind", what, str)
         params = dict(_field(entry, "params", what, Mapping, {}))
         if kind == "DenseUnitary" and "matrix" in params:
-            params["matrix"] = np.array([[complex(re, im) for re, im in row] for row in params["matrix"]])
+            try:
+                params["matrix"] = np.array([[complex(re, im) for re, im in row] for row in params["matrix"]])
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"{what} matrix must be equal rows of [re, im] pairs, got {params['matrix']!r}") from None
         targets = [_integral(wire, "wire position") for wire in _field(entry, "targets", what)]
-        controls = [(_integral(wire, "wire position"), value) for wire, value in _field(entry, "controls", what, default=())]
+        controls = _field(entry, "controls", what, default=())
+        if not all(isinstance(control, (list, tuple)) and len(control) == 2 for control in controls):
+            raise ValueError(f"{what} controls must be [wire, value] pairs, got {controls!r}")
+        controls = [(_integral(wire, "wire position"), value) for wire, value in controls]
         ops.append(GateOp(kind, targets, params, controls))
     accept = data.get("accept_rule")
     accept_rule = None

@@ -789,8 +789,8 @@ class Circuit:
 
     ``accept_rule`` is a (wires, digits) pair naming the postselection
     pattern; deterministic builders use it to record the expected final
-    ancilla digits.  ``meta`` carries builder bookkeeping (family, method,
-    system size n, optimal parameter) and is not part of the exchange
+    ancilla digits.  ``meta`` carries builder bookkeeping (the target's
+    spec, the method, the boost used, notes) and is not part of the exchange
     format; builders put the n system wires first in the register.  The
     circuit is frozen with ``ops`` a tuple, so every op passed its checks.
     """

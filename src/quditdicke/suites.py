@@ -6,10 +6,11 @@ detail lines.  The CLI ``verify`` subcommand and tests/test_acceptance.py
 both drive these functions, so the command line and the test suite can
 never disagree about what passing means.
 
-Every case goes through one path.  ``_case(spec, methods)`` is the only
-map from a family to its detail-line name, oracle and closed-form
-acceptance probability, evaluated once per spec for all of its methods,
-and it builds every method through the one registry ``qpe.BUILDERS``.  A
+Every case goes through one path.  ``_case(spec, methods)`` reads the
+family, the detail-line label, the oracle and the closed-form acceptance
+probability off the spec, which carries its family's facts, evaluating
+them once per spec for all of its methods, and it builds every method
+through the one registry ``qpe.BUILDERS``, by the spec's family.  A
 criterion that simulates skips each case whose register exceeds the cap,
 and ``check_case`` is the only code that decides whether a simulated case
 passes; ``quditdicke prepare`` calls it too.
@@ -59,10 +60,6 @@ from .reference import (
     bond_table,
     charge_moments_spin_s,
     charge_moments_sud,
-    probability_spin_s,
-    probability_sud,
-    spin_s_dicke,
-    sud_dicke,
 )
 from .report import count_resources
 from .sequential import spin_s_l_range, verify_sequential
@@ -76,7 +73,7 @@ from .sim import (
 
 DEFAULT_MAX_AMPLITUDES = 10**6
 _PROBABILISTIC = tuple(method for method in BUILDERS["spin-s"] if method != "sequential")
-# len(circuit.ops) by (family, spec) of each sequential circuit ``_case`` built in the running ``run_all``,
+# len(circuit.ops) by spec of each sequential circuit ``_case`` built in the running ``run_all``,
 # None outside it; ints only, so no circuit outlives its case
 _OP_COUNTS: ContextVar[dict | None] = ContextVar("_OP_COUNTS", default=None)
 
@@ -114,37 +111,22 @@ def _result(ident: str, description: str, failures: list[str], skips: list[str])
     return CriterionResult(ident, description, passed=not failures, details=details)
 
 
-def _family(spec) -> tuple[str, str]:
-    """Family name and spec label, as they appear in detail lines."""
-    if isinstance(spec, DickeSpecSpinS):
-        return "spin-s", f"n={spec.n} 2s={spec.twice_s} k={spec.k}"
-    return "sud", f"n={spec.n} kvec={spec.kvec}"
-
-
-def _oracle(spec):
-    return spin_s_dicke(spec) if isinstance(spec, DickeSpecSpinS) else sud_dicke(spec)
-
-
 def expected_probability(spec, method: str) -> float:
     """The acceptance probability ``check_case`` expects of ``spec`` under ``method`` at its default boost:
-    1 for the sequential method, else the family's closed form at the optimal boost."""
-    if method == "sequential":
-        return 1.0
-    spin = isinstance(spec, DickeSpecSpinS)
-    return (probability_spin_s(spec.n, spec.twice_s, spec.k) if spin else probability_sud(spec.n, spec.kvec)).probability
+    1 for the sequential method, else the spec's closed form at the optimal boost."""
+    return 1.0 if method == "sequential" else spec.closed_form().probability
 
 
 def _case(spec, methods):
     """(name, circuit, oracle, expected) of one spec under each of ``methods`` in turn: the detail-line name,
     the built circuit, the oracle, evaluated once per spec, and ``expected_probability``."""
-    family, label = _family(spec)
-    oracle = _oracle(spec)
+    oracle = spec.oracle()
     for method in methods:
-        circuit = BUILDERS[family][method](spec)
+        circuit = BUILDERS[spec.family][method](spec)
         counts = _OP_COUNTS.get()
         if method == "sequential" and counts is not None:
-            counts[family, spec] = len(circuit.ops)
-        name = f"{family} {label}" if method == "sequential" else f"{family} {method} {label}"
+            counts[spec] = len(circuit.ops)
+        name = f"{spec.family} {spec.label}" if method == "sequential" else f"{spec.family} {method} {spec.label}"
         yield name, circuit, oracle, expected_probability(spec, method)
 
 
@@ -160,8 +142,9 @@ def _cases(pairs, max_amplitudes: int, skips: list[str]):
 
 def check_case(name: str, circuit, oracle, expected: float | None, shots: int = 0, seed: int | None = None):
     """Simulate and judge one built case, (report, failure lines), by the one pass/fail rule: a sequential
-    circuit returns its ancillas, P is within ATOL_PROBABILITY of ``expected`` unless None, F >= FIDELITY_ACCEPT."""
-    sequential = circuit.meta["method"] == "sequential"
+    circuit returns its ancillas, P is within ATOL_PROBABILITY of ``expected`` unless None, F >= FIDELITY_ACCEPT.
+    A circuit whose meta names no method, such as one reloaded from the exchange format, is judged as probabilistic."""
+    sequential = circuit.meta.get("method") == "sequential"
     report = verify_sequential(circuit, oracle) if sequential else run_postselected(circuit, oracle, shots=shots, seed=seed)
     probability, conditional = report.acceptance_probability, report.conditional_fidelity
     close = expected is None or abs(probability - expected) <= ATOL_PROBABILITY
@@ -205,7 +188,7 @@ def _boost_grid(spec, boosts, max_amplitudes: int, skips: list[str]):
     if case is None:
         return None
     circuit = case[1]
-    spin = isinstance(spec, DickeSpecSpinS)
+    spin = spec.family == "spin-s"
     points = [i for i, boost in enumerate(boosts) if spin or any(boost)]
     amps = [_site_amplitudes_spin_s(spec.twice_s, boosts[i]) if spin else _site_amplitudes_sud(boosts[i]) for i in points]
     step = max_amplitudes // circuit.register.size
@@ -225,8 +208,8 @@ def criterion_parameter_optimality(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES,
         twice_s = int(rng.integers(1, 4))
         n = int(rng.integers(2, 4))
         k = int(rng.integers(1, twice_s * n))
-        line = f"spin-s n={n} 2s={twice_s} k={k}: argmax p="
-        draws.append((DickeSpecSpinS(n, twice_s, k), [float(p) for p in grid], k / (twice_s * n), line))
+        spec = DickeSpecSpinS(n, twice_s, k)
+        draws.append((spec, [float(p) for p in grid], spec.optimal_boost, f"spin-s {spec.label}: argmax p="))
     for _ in range(5):
         n = int(rng.integers(2, 4))
         while True:
@@ -234,9 +217,10 @@ def criterion_parameter_optimality(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES,
             if sum(1 for v in kvec if v > 0) >= 2:
                 break
         axis = int(rng.integers(0, 3))
-        optimal = [math.sqrt(v / n) for v in kvec]
+        spec = DickeSpecSUD(n, kvec)
+        optimal = list(spec.optimal_boost)
         boosts = [optimal[:axis] + [float(x)] + optimal[axis + 1 :] for x in grid]
-        draws.append((DickeSpecSUD(n, kvec), boosts, optimal[axis], f"sud n={n} kvec={kvec} axis={axis}: argmax xi="))
+        draws.append((spec, boosts, optimal[axis], f"sud {spec.label} axis={axis}: argmax xi="))
     for spec, boosts, best, line in draws:
         values = _boost_grid(spec, boosts, max_amplitudes, skips)
         if values is None:
@@ -263,21 +247,21 @@ def criterion_duality_and_charge(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -
     description = "digit-reversal duality and zero charge variance on every oracle state"
     failures: list[str] = []
     for spec in spin_s_grid(3, 5):
-        state = spin_s_dicke(spec)
-        mirror = spin_s_dicke(DickeSpecSpinS(spec.n, spec.twice_s, spec.max_charge - spec.k))
+        state = spec.oracle()
+        mirror = DickeSpecSpinS(spec.n, spec.twice_s, spec.max_charge - spec.k).oracle()
         dual = apply_charge_conjugation(state, spec.twice_s)
         f = fidelity(dual, mirror)
         if f < 1.0 - ATOL_IDENTITY:
-            failures.append(f"duality n={spec.n} 2s={spec.twice_s} k={spec.k}: fidelity {f!r}")
+            failures.append(f"duality {spec.label}: fidelity {f!r}")
         mean, var = charge_moments_spin_s(state, spec.twice_s)
         if abs(mean - spec.k) > ATOL_IDENTITY or abs(var) > ATOL_IDENTITY:
-            failures.append(f"charge n={spec.n} 2s={spec.twice_s} k={spec.k}: mean {mean!r} var {var!r}")
+            failures.append(f"charge {spec.label}: mean {mean!r} var {var!r}")
     for spec in sud_grid(4, 5):
-        state = sud_dicke(spec)
+        state = spec.oracle()
         for level in range(1, spec.d):
             mean, var = charge_moments_sud(state, spec.d, level)
             if abs(mean - spec.kvec[level]) > ATOL_IDENTITY or abs(var) > ATOL_IDENTITY:
-                failures.append(f"occupation n={spec.n} kvec={spec.kvec} level={level}: mean {mean!r} var {var!r}")
+                failures.append(f"occupation {spec.label} level={level}: mean {mean!r} var {var!r}")
     return _result("criterion-6", description, failures, [])
 
 
@@ -285,8 +269,7 @@ def criterion_mps_canonical(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> Cri
     description = "bond tensors are isometric rows and contract to the closed forms (n<=5)"
     failures: list[str] = []
     for spec in itertools.chain(spin_s_grid(3, 5), sud_grid(4, 5)):
-        family, label = _family(spec)
-        spin = family == "spin-s"
+        spin = spec.family == "spin-s"
         dim = spec.dim if spin else spec.d
         # amplitudes of every digit string of the sites so far, by the bond digit it ends on
         prefix = {0: np.ones(1)}
@@ -294,7 +277,7 @@ def criterion_mps_canonical(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> Cri
             for bond, row, _ in site:
                 total = sum(g * g for g in row)
                 if any(row) and abs(total - 1.0) > ATOL_IDENTITY:
-                    failures.append(f"{family} row {label} i={i} {'l' if spin else 'a'}={bond}: sum {total!r}")
+                    failures.append(f"{spec.family} row {spec.label} i={i} {'l' if spin else 'a'}={bond}: sum {total!r}")
             size = dim ** (i - 1)
             contracted = defaultdict(lambda: np.zeros(dim * size))
             for digit, amplitudes in prefix.items():
@@ -305,10 +288,10 @@ def criterion_mps_canonical(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> Cri
                     if g != 0.0:
                         contracted[after[m]][m * size : (m + 1) * size] = amplitudes * g
             prefix = contracted
-        oracle = _oracle(spec)
+        oracle = spec.oracle()
         mismatch = np.flatnonzero(np.abs(prefix.get(spec.k if spin else 0, 0.0) - oracle.amplitudes.real) > ATOL_IDENTITY)
         if mismatch.size:
-            failures.append(f"{family} contraction {label} digits={oracle.register.digits_of(int(mismatch[0]))}")
+            failures.append(f"{spec.family} contraction {spec.label} digits={oracle.register.digits_of(int(mismatch[0]))}")
     return _result("criterion-7", description, failures, [])
 
 
@@ -324,28 +307,25 @@ def sud_expected_gate_count(spec: DickeSpecSUD) -> int:
     return 3 * spec.d * sum(levels.cardinality(i - 1) for i in range(1, spec.n + 1))
 
 
-def _op_count(family: str, spec) -> int:
-    """Op count of the family's sequential circuit of ``spec``, as ``_case`` recorded it in ``run_all``, else built anew."""
+def _op_count(spec) -> int:
+    """Op count of the sequential circuit of ``spec``, as ``_case`` recorded it in ``run_all``, else built anew."""
     counts = _OP_COUNTS.get()
-    count = None if counts is None else counts.get((family, spec))
-    return len(BUILDERS[family]["sequential"](spec).ops) if count is None else count
+    count = None if counts is None else counts.get(spec)
+    return len(BUILDERS[spec.family]["sequential"](spec).ops) if count is None else count
 
 
 def criterion_resource_scaling(max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> CriterionResult:
     description = "gate counts match the exact formulas; growth and constant-depth accounting hold"
     failures: list[str] = []
-    for spec in spin_s_grid(3, 5):
-        if not 0 < spec.k < spec.max_charge:
-            continue
-        count, expected = _op_count("spin-s", spec), spin_s_expected_gate_count(spec)
+    # each family's formula, over the specs whose builder walks the bond (not a product target's shortcut)
+    counted = itertools.chain(
+        ((spec, spin_s_expected_gate_count) for spec in spin_s_grid(3, 5) if 0 < spec.k < spec.max_charge),
+        ((spec, sud_expected_gate_count) for spec in sud_grid(4, 5) if sum(1 for v in spec.kvec if v > 0) >= 2),
+    )
+    for spec, formula in counted:
+        count, expected = _op_count(spec), formula(spec)
         if count != expected:
-            failures.append(f"spin-s count n={spec.n} 2s={spec.twice_s} k={spec.k}: {count} vs {expected}")
-    for spec in sud_grid(4, 5):
-        if sum(1 for v in spec.kvec if v > 0) < 2:
-            continue
-        count, expected = _op_count("sud", spec), sud_expected_gate_count(spec)
-        if count != expected:
-            failures.append(f"sud count n={spec.n} kvec={spec.kvec}: {count} vs {expected}")
+            failures.append(f"{spec.family} count {spec.label}: {count} vs {expected}")
     # growth along s=1/2, k=floor(n/2): gate count stays within a constant multiple of s*k*n
     ratios = []
     for n in range(3, 9):

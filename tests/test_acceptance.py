@@ -345,15 +345,16 @@ def test_criterion_4_runs_no_register_above_the_cap(monkeypatch, cap):
     "ident, spin_s_cases", [("criterion-1", len(list(spin_s_grid(3, 5)))), ("criterion-3", 3 * len(list(spin_s_grid(3, 4))))]
 )
 def test_criteria_fail_on_a_wrong_oracle(monkeypatch, ident, spin_s_cases):
-    from quditdicke import suites
+    from quditdicke import reference
 
-    exact = suites.spin_s_dicke
+    exact = reference.spin_s_dicke
 
     def oracle_at_k_minus_1(spec):
         # charge k-1, wrapping k=0 to the largest charge: orthogonal to the target
         return exact(DickeSpecSpinS(spec.n, spec.twice_s, (spec.k - 1) % (spec.max_charge + 1)))
 
-    monkeypatch.setattr(suites, "spin_s_dicke", oracle_at_k_minus_1)
+    # the spec's oracle calls reference.spin_s_dicke by name
+    monkeypatch.setattr(reference, "spin_s_dicke", oracle_at_k_minus_1)
     result = next(c for c in ALL_CRITERIA if c.ident == ident).run(DEFAULT_MAX_AMPLITUDES)
     assert not result.passed
     skipped = [line for line in result.details if line.startswith("skipped: ")]

@@ -385,7 +385,7 @@ def test_run_postselected_reports_impossible_acceptance_as_failure():
     from quditdicke.sim import Circuit
 
     reg = QuditRegister([("s1", 2), ("q0", 2)])
-    circuit = Circuit(reg, [], accept_rule=(("q0",), (1,)), meta={"system_wires": ("s1",)})
+    circuit = Circuit(reg, [], accept_rule=(("q0",), (1,)), meta={"spec": DickeSpecSpinS(1, 1, 0)})
     oracle = new_basis_state(QuditRegister.of_dims([2]), (0,))
     report = run_postselected(circuit, oracle)
     assert report.acceptance_probability == 0.0
@@ -401,7 +401,7 @@ def test_impossible_acceptance_report_is_strict_json():
     from quditdicke.sim import Circuit
 
     reg = QuditRegister([("s1", 2), ("q0", 2)])
-    circuit = Circuit(reg, [], accept_rule=(("q0",), (1,)), meta={"system_wires": ("s1",)})
+    circuit = Circuit(reg, [], accept_rule=(("q0",), (1,)), meta={"spec": DickeSpecSpinS(1, 1, 0)})
     report = run_postselected(circuit, new_basis_state(QuditRegister.of_dims([2]), (0,)))
     text = report.to_json()
 
@@ -466,6 +466,31 @@ def test_reloaded_circuit_verifies(family, method):
     assert reloaded.acceptance_probability == original.acceptance_probability
     assert reloaded.conditional_fidelity == original.conditional_fidelity
     assert reloaded.ancilla_census == original.ancilla_census
+
+
+def test_reloaded_circuit_is_judged_without_builder_metadata():
+    # a reloaded circuit carries no spec and no method: check_case judges it as a probabilistic case,
+    # and its report's spec block names no family, n or method and holds no family field
+    from quditdicke.serialize import circuit_from_json, circuit_to_json
+    from quditdicke.suites import check_case
+
+    spec = DickeSpecSpinS(2, 1, 1)
+    reloaded = circuit_from_json(circuit_to_json(build_hadamard_test_spin_s(spec)))
+    report, failures = check_case("reloaded", reloaded, spin_s_dicke(spec), 0.5)
+    assert failures == []
+    assert report.spec == {"family": None, "n": None, "method": None}
+
+
+def test_builders_carry_the_spec_in_meta():
+    # the spec is the one description of the target: no builder copies its fields into meta
+    for spec in (DickeSpecSpinS(2, 2, 3), DickeSpecSUD(3, (1, 0, 2))):
+        for method, build in BUILDERS[spec.family].items():
+            meta = build(spec).meta
+            assert set(meta) == {"spec", "method", "optimal_parameter", "notes"}
+            assert meta["spec"] is spec and meta["method"] == method
+    spec = DickeSpecSpinS(2, 2, 3)
+    mirrored = build_sequential_spin_s(spec, via_duality=True).meta
+    assert mirrored["spec"] is spec and mirrored["notes"] == ["prepared via charge conjugation of the mirror target"]
 
 
 @pytest.mark.parametrize("shots, seed, what", [(2.5, 1, "shots"), (2, 1.7, "seed"), (0, 1.7, "seed")])

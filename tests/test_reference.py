@@ -88,14 +88,49 @@ def test_spec_validation():
         (lambda: DickeSpecSUD(2, (1.5, 1.5, 0)), "occupation"),
         (lambda: multinomial(3, (1.5, 1.5)), "occupation"),
         (lambda: probability_sud(3, (1.5, 1.5)), "occupation"),
+        (lambda: probability_spin_s(2, 1, 1.5), "charge k"),
     ],
-    ids=["spin-n", "spin-twice-s", "spin-k", "sud-n", "sud-kvec", "multinomial", "probability-sud"],
+    ids=["spin-n", "spin-twice-s", "spin-k", "sud-n", "sud-kvec", "multinomial", "probability-sud", "probability-spin"],
 )
 def test_spec_integer_field_with_a_fractional_part_is_rejected(make, what):
     # refused, not truncated: DickeSpecSUD(2, (1.5, 1.5, 0)) must not become kvec (1, 1, 0)
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value).startswith(f"{what} must be an integer, got ")
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: probability_spin_s(0, 1, 0), "site count n must be >= 1"),
+        (lambda: probability_spin_s(2, 0, 0), "twice_s must be a positive integer"),
+        (lambda: probability_sud(0, (0, 0)), "site count n must be >= 1"),
+        (lambda: probability_sud(2, (2,)), "need at least two levels"),
+    ],
+    ids=["spin-no-sites", "spin-zero-spin", "sud-no-sites", "sud-one-level"],
+)
+def test_closed_forms_refuse_what_the_specs_refuse(make, message):
+    # the closed forms check their arguments by building the spec: no ZeroDivisionError, no one-level report
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("spec", [DickeSpecSpinS(3, 2, 2), DickeSpecSpinS(2, 1, 0), DickeSpecSUD(3, (1, 0, 2))], ids=str)
+def test_spec_carries_its_family_facts(spec):
+    spin = isinstance(spec, DickeSpecSpinS)
+    closed_form = probability_spin_s(spec.n, spec.twice_s, spec.k) if spin else probability_sud(spec.n, spec.kvec)
+    assert spec.closed_form() == closed_form
+    assert spec.optimal_boost == closed_form.optimal_parameter
+    oracle = spin_s_dicke(spec) if spin else sud_dicke(spec)
+    assert spec.oracle().register.dims == oracle.register.dims
+    assert np.array_equal(spec.oracle().amplitudes, oracle.amplitudes)
+    if spin:
+        assert (spec.family, spec.label) == ("spin-s", f"n={spec.n} 2s={spec.twice_s} k={spec.k}")
+        assert spec.report_fields() == {"s": spec.twice_s / 2, "k": spec.k}
+    else:
+        assert (spec.family, spec.label) == ("sud", "n=3 kvec=(1, 0, 2)")
+        assert spec.report_fields() == {"kvec": [1, 0, 2]}
 
 
 def test_spec_integral_fields_of_other_types_become_ints():

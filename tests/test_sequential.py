@@ -8,7 +8,6 @@ import pytest
 from quditdicke.levelsets import build_level_sets
 from quditdicke.reference import DickeSpecSpinS, DickeSpecSUD, bond_table, gamma_spin_s, gamma_sud, spin_s_dicke, sud_dicke
 from quditdicke.sequential import (
-    _emitter_gates_spin_s,
     build_i_spin_s,
     build_i_sud,
     build_sequential_spin_s,
@@ -190,7 +189,9 @@ def test_sequential_spin_s_duality_grid_agrees_with_direct():
                 assert mirrored.acceptance_probability == 1.0
 
 
-def test_sequential_spin_s_pruning_and_label_wraparound():
+def test_sequential_spin_s_pruning_and_label_wraparound(monkeypatch):
+    from quditdicke import sequential
+
     # emitters outside the active window, including l = k whose control value
     # wraps to 0 mod chi, act as the identity on the prepared state
     for n, twice_s, k in [(3, 1, 2), (3, 2, 3), (2, 2, 2)]:
@@ -198,9 +199,12 @@ def test_sequential_spin_s_pruning_and_label_wraparound():
         pruned = build_sequential_spin_s(spec)
         reg = pruned.register
         state = new_basis_state(reg, (0,) * len(reg))
-        for i in range(1, n + 1):
-            for l in range(k + 1):
-                state = apply_ops(state, _emitter_gates_spin_s(n, twice_s, k, i, l))
+        with monkeypatch.context() as patch:
+            # widen the window that build_i_spin_s checks a label against to every label 0..k
+            patch.setattr(sequential, "spin_s_l_range", lambda n, twice_s, k, i: range(k + 1))
+            for i in range(1, n + 1):
+                for l in range(k + 1):
+                    state = apply_ops(state, build_i_spin_s(n, twice_s, k, i, l))
         assert np.allclose(state.amplitudes, pruned.run().amplitudes, atol=1e-10)
 
 
@@ -358,7 +362,8 @@ def test_sequential_ancilla_census():
 
 def test_verify_sequential_identity_circuit():
     reg = QuditRegister([("s1", 2), ("mps", 2)])
-    circuit = Circuit(reg, [], accept_rule=(("mps",), (0,)), meta={"family": "spin-s", "method": "sequential", "n": 1, "twice_s": 1, "k": 0, "system_wires": ("s1",)})
+    meta = {"spec": DickeSpecSpinS(1, 1, 0), "method": "sequential", "optimal_parameter": None, "notes": []}
+    circuit = Circuit(reg, [], accept_rule=(("mps",), (0,)), meta=meta)
     oracle = new_basis_state(QuditRegister.of_dims([2]), (0,))
     report = verify_sequential(circuit, oracle)
     assert report.acceptance_probability == 1.0
@@ -382,6 +387,6 @@ def test_failed_ancilla_check_reports_its_expected_repetitions(extra, probabilit
 
 def test_verify_sequential_requires_accept_rule():
     reg = QuditRegister([("s1", 2), ("mps", 2)])
-    circuit = Circuit(reg, [], meta={"n": 1})
+    circuit = Circuit(reg, [], meta={"spec": DickeSpecSpinS(1, 1, 0)})
     with pytest.raises(ValueError, match="circuit has no accept rule to postselect on"):
         verify_sequential(circuit, new_basis_state(QuditRegister.of_dims([2]), (0,)))

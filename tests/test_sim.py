@@ -993,9 +993,17 @@ def test_bad_gate_parameters_fail_at_load(op):
         ({"register": [3], "ops": [{"kind": "Xd", "targets": 0}]}, "op 0 field targets has type int"),
         ({"register": [3], "ops": ["Xd"]}, "op 0 must be a mapping, got 'Xd'"),
         ({"register": [3]}, "circuit has no ops"),
+        ({"register": [3, 3], "ops": [{"kind": "Xd", "targets": [0], "controls": [5]}]}, "op 0 controls must be [wire, value] pairs, got [5]"),
+        ({"register": [3, 3], "ops": [{"kind": "Xd", "targets": [0], "controls": [[1]]}]}, "op 0 controls must be [wire, value] pairs, got [[1]]"),
+        (
+            {"register": [2], "ops": [{"kind": "Xd", "targets": [0]}, {"kind": "DenseUnitary", "targets": [0], "params": {"matrix": [[1, 0], [0, 1]]}}]},
+            "op 1 matrix must be equal rows of [re, im] pairs, got [[1, 0], [0, 1]]",
+        ),
+        ({"register": [2], "ops": [{"kind": "DenseUnitary", "targets": [0], "params": {"matrix": 5}}]}, "op 0 matrix must be equal rows of [re, im] pairs, got 5"),
     ],
     ids=["no-targets", "no-kind", "accept-no-digits", "register-not-a-list", "params-not-a-mapping", "params-a-list",
-         "targets-not-a-list", "op-not-a-mapping", "no-ops"],
+         "targets-not-a-list", "op-not-a-mapping", "no-ops", "control-not-a-pair", "control-one-item", "matrix-entry-not-a-pair",
+         "matrix-not-a-list"],
 )
 def test_malformed_exchange_entry_raises_value_error_naming_it(data, message):
     with pytest.raises(ValueError) as info:
